@@ -114,13 +114,14 @@ class _SliceSolver:
     """Per-assignment continuous subproblems for a fixed objective shape.
 
     The quadratic/linear data live over the full variable vector (plus
-    optional auxiliary columns); fixing the integer part specializes each
-    constraint row and the objective exactly.
+    optional auxiliary columns, the last of which, w, costs ``w_weight``);
+    fixing the integer part specializes each constraint row and the
+    objective exactly.
     """
 
     def __init__(self, inst: MiqpInstance, Qfull: RatMat, cfull: RatVec,
-                 const: Fraction, enc: pen_mod.EpigraphEncoding | None,
-                 aux_cost: list[Fraction] | None, include_eq: bool = False):
+                 const: Fraction, enc: pen_mod.EpigraphEncoding | None = None,
+                 w_weight: Fraction = _ZERO, include_eq: bool = False):
         self.inst = inst
         n1, n = inst.n1, inst.n
         idx1, idx2 = list(range(n1)), list(range(n1, n))
@@ -132,7 +133,7 @@ class _SliceSolver:
         self.const = const
         self.E1, self.E2 = inst.split_cols(inst.E)
         self.n_aux = enc.n_aux if enc is not None else 0
-        self.aux_cost = aux_cost or []
+        self.aux_cost = [_ZERO] * (self.n_aux - 1) + [w_weight] if self.n_aux else []
         width = n1 + self.n_aux
         # E rows padded with zero aux columns
         self.ineq_rows = [list(self.E1.row(i)) + [_ZERO] * self.n_aux
@@ -163,7 +164,6 @@ class _SliceSolver:
         top = RatMat.hstack([self.Q11, RatMat.zeros(n1, self.n_aux)])
         bot = RatMat.hstack([RatMat.zeros(self.n_aux, n1), pad])
         self.Qsub = RatMat.vstack([top, bot], cols=width)
-        self.width = width
         # constraint matrices are x2-independent; only right-hand sides move
         self.ineq_mat = RatMat(self.ineq_rows, cols=width)
         self.eq_mat = RatMat(self.eq_rows, cols=width)
@@ -172,7 +172,7 @@ class _SliceSolver:
     def solve(self, x2: tuple[int, ...]) -> tuple[SolveReport, Fraction]:
         """Returns the block report and the x2-dependent constant term."""
         x2v = RatVec(x2)
-        lin = list(self.c1 + self.Q12.matvec(x2v)) + list(self.aux_cost)
+        lin = list(self.c1 + self.Q12.matvec(x2v)) + self.aux_cost
         const = self.const + self.c2.dot(x2v) + x2v.dot(self.Q22.matvec(x2v)) / 2
         ineq_rhs = RatVec(base - coeff.dot(x2v)
                           for base, coeff in zip(self.ineq_base, self.ineq_x2))
@@ -187,13 +187,46 @@ class _SliceSolver:
                                             self.ineq_mat, ineq_rhs))
         return rep, const
 
+    def scan(self, box: IntegerBox):
+        """Feasible slices in lexicographic order of the assignment.
+
+        Yields ``(x2, report, value)`` where ``value`` is the slice minimum
+        (``report.value`` plus the x2-dependent constant), or None when the
+        slice is unbounded below.  Infeasible slices are skipped.
+        """
+        for x2 in box.assignments():
+            rep, const = self.solve(x2)
+            if rep.status == INFEASIBLE:
+                continue
+            yield x2, rep, (None if rep.status == UNBOUNDED else rep.value + const)
+
     def lift(self, x2: tuple[int, ...], block_x: RatVec) -> RatVec:
         """Full primal point (x1, x2) from a block solution (x1, aux)."""
         return RatVec(list(block_x[: self.inst.n1]) + list(x2))
 
 
-def _ip_slicer(inst: MiqpInstance) -> _SliceSolver:
-    return _SliceSolver(inst, inst.Q, inst.c, _ZERO, None, None, include_eq=True)
+def penalized_slicer(inst: MiqpInstance, Q: RatMat, c: RatVec, const: Fraction,
+                     pen: pen_mod.Penalty, rho: Fraction) -> _SliceSolver:
+    """Slices of  min 1/2 x^T Q x + c^T x + const + rho * psi(b - Ax)
+    over E x <= f: no penalty term at rho = 0, the penalty absorbed into
+    the quadratic for sql2, epigraph rows on auxiliary columns otherwise."""
+    if rho == 0:
+        return _SliceSolver(inst, Q, c, const)
+    if pen.kind == pen_mod.SQL2:
+        At = inst.A.transpose()
+        return _SliceSolver(inst, Q + At.matmul(inst.A).scale(2 * rho),
+                            c - At.matvec(inst.b).scale(2 * rho),
+                            const + rho * inst.b.dot(inst.b))
+    enc = pen_mod.epigraph_rows(pen, inst.A, inst.b)
+    if pen.dim == 0 and enc.ineq_lhs.rows == 0 and enc.eq_lhs.rows == 0:
+        # no residual coordinates: pin w at zero
+        enc = pen_mod.EpigraphEncoding(
+            enc.n_aux,
+            enc.ineq_lhs, enc.ineq_rhs,
+            RatMat([[_ZERO] * inst.n + [_ONE] * enc.n_aux], cols=inst.n + enc.n_aux),
+            RatVec([_ZERO]),
+        )
+    return _SliceSolver(inst, Q, c, const, enc, rho)
 
 
 def solve_ip(inst: MiqpInstance) -> SolveReport:
@@ -203,23 +236,28 @@ def solve_ip(inst: MiqpInstance) -> SolveReport:
     lexicographically smallest one.
     """
     box = integer_box(inst)
-    slicer = _ip_slicer(inst)
+    slicer = _SliceSolver(inst, inst.Q, inst.c, _ZERO, include_eq=True)
     best_val = None
     best_x = None
-    for x2 in box.assignments():
-        rep, const = slicer.solve(x2)
-        if rep.status == INFEASIBLE:
-            continue
-        if rep.status == UNBOUNDED:
+    for x2, rep, total in slicer.scan(box):
+        if total is None:
             ray = RatVec(list(rep.ray[: inst.n1]) + [_ZERO] * inst.n2)
             return SolveReport(status=UNBOUNDED, x=slicer.lift(x2, rep.x), ray=ray)
-        total = rep.value + const
         if best_val is None or total < best_val:
             best_val = total
             best_x = slicer.lift(x2, rep.x)
     if best_val is None:
         return SolveReport(status=INFEASIBLE)
     return SolveReport(status=OPTIMAL, value=best_val, x=best_x)
+
+
+def ground_truth(inst: MiqpInstance) -> SolveReport:
+    """solve_ip's report, which must be OPTIMAL (InfeasibleDomainError
+    otherwise)."""
+    ip = solve_ip(inst)
+    if ip.status != OPTIMAL:
+        raise InfeasibleDomainError(f"ground-truth solve is {ip.status}")
+    return ip
 
 
 @dataclass(frozen=True)
@@ -236,31 +274,6 @@ class RelaxReport:
     assignment: tuple[int, ...] | None
     unbounded: bool = False
     per_assignment: tuple[tuple[tuple[int, ...], Fraction], ...] | None = None
-
-
-def _relax_slicer(inst: MiqpInstance, lam: RatVec, rho: Fraction,
-                  pen: pen_mod.Penalty) -> _SliceSolver:
-    chat = inst.c - inst.A.tmatvec(lam) if inst.m else inst.c
-    const = lam.dot(inst.b)
-    if rho == 0:
-        return _SliceSolver(inst, inst.Q, chat, const, None, None)
-    if pen.kind == pen_mod.SQL2:
-        At = inst.A.transpose()
-        Qrho = inst.Q + At.matmul(inst.A).scale(2 * rho)
-        crho = chat - At.matvec(inst.b).scale(2 * rho)
-        return _SliceSolver(inst, Qrho, crho, const + rho * inst.b.dot(inst.b),
-                            None, None)
-    enc = pen_mod.epigraph_rows(pen, inst.A, inst.b)
-    if pen.dim == 0 and enc.ineq_lhs.rows == 0 and enc.eq_lhs.rows == 0:
-        # no residual coordinates: pin w at zero
-        enc = pen_mod.EpigraphEncoding(
-            enc.n_aux,
-            enc.ineq_lhs, enc.ineq_rhs,
-            RatMat([[_ZERO] * inst.n + [_ONE] * enc.n_aux], cols=inst.n + enc.n_aux),
-            RatVec([_ZERO]),
-        )
-    aux_cost = [_ZERO] * (enc.n_aux - 1) + [rho]
-    return _SliceSolver(inst, inst.Q, chat, const, enc, aux_cost)
 
 
 def eval_lr_plus(inst: MiqpInstance, lam: RatVec, rho, pen: pen_mod.Penalty,
@@ -281,27 +294,22 @@ def eval_lr_plus(inst: MiqpInstance, lam: RatVec, rho, pen: pen_mod.Penalty,
     if pen.dim != inst.m:
         raise DimMismatchError(f"penalty dim {pen.dim} vs {inst.m} rows")
     box = integer_box(inst)
-    slicer = _relax_slicer(inst, lam, rho, pen)
+    chat = inst.c - inst.A.tmatvec(lam) if inst.m else inst.c
+    slicer = penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b), pen, rho)
     best_val = None
     best_x = None
     best_x2 = None
-    feasible_slice = False
     table = [] if keep_table else None
-    for x2 in box.assignments():
-        rep, const = slicer.solve(x2)
-        if rep.status == INFEASIBLE:
-            continue
-        feasible_slice = True
-        if rep.status == UNBOUNDED:
+    for x2, rep, total in slicer.scan(box):
+        if total is None:
             return RelaxReport(None, None, None, x2, unbounded=True)
-        total = rep.value + const
         if table is not None:
             table.append((x2, total))
         if best_val is None or total < best_val:
             best_val = total
             best_x = slicer.lift(x2, rep.x)
             best_x2 = x2
-    if not feasible_slice:
+    if best_val is None:
         raise InfeasibleDomainError("the mixed integer linear set is empty")
     residual = inst.b - inst.A.matvec(best_x) if inst.m else RatVec([])
     violation = pen_mod.evaluate(pen, residual)
@@ -369,9 +377,9 @@ def stream_gap_sweep(inst: MiqpInstance, pen: pen_mod.Penalty, rhos,
         raise ValueError("empty rho schedule")
     if any(r < 0 for r in rhos) or any(a >= b for a, b in zip(rhos, rhos[1:])):
         raise ValueError("rho schedule must be nonnegative and strictly increasing")
-    ip = solve_ip(inst)
-    if ip.status != OPTIMAL:
-        raise InfeasibleDomainError(f"ground-truth solve is {ip.status}")
+    if ascent_iters < 0:
+        raise ValueError("ascent_iters must be nonnegative")
+    ip = ground_truth(inst)
     duals = lambda_bar(inst)
     if lam is None:
         lam = duals.lambda_bar
@@ -453,9 +461,7 @@ def violation_bound_check(inst: MiqpInstance, pen: pen_mod.Penalty,
     rho = rat(rho)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    ip = solve_ip(inst)
-    if ip.status != OPTIMAL:
-        raise InfeasibleDomainError(f"ground-truth solve is {ip.status}")
+    ip = ground_truth(inst)
     duals = lambda_bar(inst)
     rep = eval_lr_plus(inst, duals.lambda_bar, rho, pen)
     if rep.unbounded:

@@ -105,7 +105,7 @@ def _resolve_lambda(source: str, inst) -> RatVec:
     return vec
 
 
-def _emit(doc: dict, out_path, fmt: str = "json") -> None:
+def _emit(doc: dict, out_path) -> None:
     text = json.dumps(doc, indent=1, sort_keys=True)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -186,6 +186,8 @@ def cmd_sweep(args) -> int:
     inst = _load_instance(args.instance)
     pen = pen_mod.parse_penalty(args.penalty, inst.m)
     rhos = parse_rho_schedule(args.rhos)
+    if args.ascent_iters < 0:
+        raise UsageError("--ascent-iters must be nonnegative")
     lam = None if args.lam == "bar" else _resolve_lambda(args.lam, inst)
     rows = []
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout

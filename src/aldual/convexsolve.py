@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DimMismatchError,
@@ -495,7 +496,7 @@ def check_boundedness(inst) -> BoundednessReport:
 def _integral_descent_ray(inst, ray: RatVec) -> RatVec:
     den = 1
     for a in ray:
-        den = den * a.denominator // _gcd(den, a.denominator)
+        den = lcm(den, a.denominator)
     r = ray.scale(den)
     drop = inst.c.dot(r)
     if drop > -1:
@@ -506,9 +507,3 @@ def _integral_descent_ray(inst, ray: RatVec) -> RatVec:
             or any(v > 0 for v in inst.E.matvec(r)):
         raise InternalInvariantError("descent ray leaves the recession cone")
     return r
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

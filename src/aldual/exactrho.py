@@ -15,18 +15,16 @@ from fractions import Fraction
 
 from . import penalty as pen_mod
 from .ald import (
-    NlpDuals,
-    _relax_slicer,
     eval_lr_plus,
+    ground_truth,
     integer_box,
     lambda_bar,
-    solve_ip,
+    penalized_slicer,
 )
-from .convexsolve import INFEASIBLE, OPTIMAL, UNBOUNDED
+from .convexsolve import INFEASIBLE, UNBOUNDED
 from .errors import (
     BisectionCapError,
     DeltaZeroError,
-    InfeasibleDomainError,
     InternalInvariantError,
     UnsupportedKindError,
 )
@@ -166,10 +164,7 @@ def certify(inst: MiqpInstance, lam: RatVec, rho, pen: pen_mod.Penalty,
             z_ip: Fraction | None = None) -> bool:
     """Exact predicate: does the relaxation at (lam, rho) close the gap."""
     if z_ip is None:
-        ip = solve_ip(inst)
-        if ip.status != OPTIMAL:
-            raise InfeasibleDomainError(f"ground-truth solve is {ip.status}")
-        z_ip = ip.value
+        z_ip = ground_truth(inst).value
     rep = eval_lr_plus(inst, lam, rho, pen)
     return (not rep.unbounded) and rep.value == z_ip
 
@@ -192,9 +187,7 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty,
     dualized rows, the infimum over violating points is zero and
     DeltaZeroError is raised (the formula is inapplicable).
     """
-    ip = solve_ip(inst)
-    if ip.status != OPTIMAL:
-        raise InfeasibleDomainError(f"ground-truth solve is {ip.status}")
+    ip = ground_truth(inst)
     duals = lambda_bar(inst)
     if lam is None:
         lam = duals.lambda_bar
@@ -203,27 +196,12 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty,
     continuous_acts = not A1.is_zero()
 
     # per-assignment exact minimum of psi(b - Ax) over the continuous slice
-    from .ald import _SliceSolver
-
-    if pen.kind == pen_mod.SQL2:
-        At = inst.A.transpose()
-        slicer = _SliceSolver(inst, At.matmul(inst.A).scale(2),
-                              -At.matvec(inst.b).scale(2),
-                              inst.b.dot(inst.b), None, None)
-    else:
-        enc = pen_mod.epigraph_rows(pen, inst.A, inst.b)
-        aux_cost = [_ZERO] * (enc.n_aux - 1) + [_ONE]
-        slicer = _SliceSolver(inst, RatMat.zeros(n, n), RatVec.zeros(n),
-                              _ZERO, enc, aux_cost)
-
+    slicer = penalized_slicer(inst, RatMat.zeros(n, n), RatVec.zeros(n),
+                              _ZERO, pen, _ONE)
     candidates: list[Fraction] = []
-    for x2 in integer_box(inst).assignments():
-        rep, const = slicer.solve(x2)
-        if rep.status == INFEASIBLE:
-            continue
-        if rep.status == UNBOUNDED:
+    for x2, _, vmin in slicer.scan(integer_box(inst)):
+        if vmin is None:
             raise InternalInvariantError("penalty minimization unbounded")
-        vmin = rep.value + const
         if vmin > 0:
             candidates.append(vmin)
         elif continuous_acts:
@@ -237,18 +215,16 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty,
     return _issue(inst, lam, rho_star, pen, SUFFICIENT, evidence, ip.value)
 
 
-def _dual_probe(inst: MiqpInstance, duals: NlpDuals,
-                pen_linf: pen_mod.Penalty, slicer_cache: dict,
+def _dual_probe(inst: MiqpInstance, lam: RatVec, slicer,
                 x2: tuple[int, ...], rho: Fraction):
-    """Solve one assignment's subproblem and extract the exact dual point.
+    """Solve one assignment's max-norm subproblem at weight rho (``slicer``
+    is the relaxation's slicer at (lam, rho)) and extract the exact dual
+    point.
 
     Returns (status, record); status is 'infeasible' or 'ok'; the record's
     dual objective equals the subproblem value by strong duality, checked
     exactly along with the multiplier identities.
     """
-    if rho not in slicer_cache:
-        slicer_cache[rho] = _relax_slicer(inst, duals.lambda_bar, rho, pen_linf)
-    slicer = slicer_cache[rho]
     rep, const = slicer.solve(x2)
     if rep.status == INFEASIBLE:
         return "infeasible", None
@@ -271,12 +247,11 @@ def _dual_probe(inst: MiqpInstance, duals: NlpDuals,
     A1, A2 = inst.split_cols(inst.A)
     E1, E2 = inst.split_cols(inst.E)
     c1, c2 = inst.c_split()
-    lam = duals.lambda_bar
 
     if sum(y1, _ZERO) + sum(y2, _ZERO) != rho:
         raise InternalInvariantError("residual-row multipliers do not sum to rho")
     lhs = c1 - A1.tmatvec(lam) + Q12.matvec(x2v) + A1.tmatvec(y1 - y2) \
-        + E1.tmatvec(y3) + zeros1 - zeros1
+        + E1.tmatvec(y3)
     if lhs != Q11.tmatvec(nu):
         raise InternalInvariantError("dual stationarity row failed")
     dual_value = (
@@ -305,23 +280,26 @@ def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
     reaches the integer optimum is found; the overall weight is the
     maximum over assignments and is re-verified primally.
     """
-    ip = solve_ip(inst)
-    if ip.status != OPTIMAL:
-        raise InfeasibleDomainError(f"ground-truth solve is {ip.status}")
-    z_ip = ip.value
-    duals = lambda_bar(inst)
-    lam = duals.lambda_bar
+    z_ip = ground_truth(inst).value
+    lam = lambda_bar(inst).lambda_bar
     pen_linf = pen_mod.Penalty(pen_mod.LINF, inst.m)
     if inst.m == 0:
         return _issue(inst, lam, _ONE, pen_linf, DUAL_LINF,
                       DualLinfEvidence(()), z_ip)
 
-    slicer_cache: dict = {}
+    chat = inst.c - inst.A.tmatvec(lam)
+    slicers: dict = {}
+
+    def probe(x2, rho):
+        if rho not in slicers:
+            slicers[rho] = penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b),
+                                            pen_linf, rho)
+        return _dual_probe(inst, lam, slicers[rho], x2, rho)
+
     records: list[DualAssignmentRecord] = []
     current = _ONE
     for x2 in integer_box(inst).assignments():
-        status, rec = _dual_probe(inst, duals, pen_linf,
-                                  slicer_cache, x2, current)
+        status, rec = probe(x2, current)
         if status == "infeasible":
             continue
         if rec.dual_value >= z_ip:
@@ -334,15 +312,13 @@ def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
                 raise BisectionCapError(
                     f"no certifying weight below {_BISECTION_CAP} for {x2}"
                 )
-            _, rec_hi = _dual_probe(inst, duals, pen_linf,
-                                    slicer_cache, x2, hi)
+            _, rec_hi = probe(x2, hi)
             if rec_hi.dual_value >= z_ip:
                 break
             lo, hi = hi, 2 * hi
         while hi - lo > 1:
             mid = (lo + hi) / 2
-            _, rec_mid = _dual_probe(inst, duals, pen_linf,
-                                     slicer_cache, x2, mid)
+            _, rec_mid = probe(x2, mid)
             if rec_mid.dual_value >= z_ip:
                 hi, rec_hi = mid, rec_mid
             else:
@@ -361,16 +337,22 @@ def rho_for_norm(rho_hat, pen: pen_mod.Penalty) -> Fraction:
     return rat(rho_hat) * gamma
 
 
-def rho_for_lambda(rho_star_bar, lambda_tilde: RatVec, lambda_bar_vec: RatVec,
-                   pen: pen_mod.Penalty) -> Fraction:
-    """Shift a certificate weight from the optimal multipliers to any
-    multipliers: ceil(rho + eta * upper-bound on the Euclidean shift)."""
+def _lambda_shift(rho_star_bar, lambda_tilde: RatVec, lambda_bar_vec: RatVec,
+                  pen: pen_mod.Penalty) -> tuple[int, Fraction, Fraction]:
+    """(eta, upper bound on the Euclidean shift, shifted weight)."""
     if not pen.is_norm:
         raise UnsupportedKindError("multiplier shift needs a norm kind")
     eta = pen_mod.norm_constants(pen).eta
     diff = lambda_tilde - lambda_bar_vec
     shift = Fraction(ceil_sqrt(diff.dot(diff)))
-    return Fraction(ceil_rat(rat(rho_star_bar) + eta * shift))
+    return eta, shift, Fraction(ceil_rat(rat(rho_star_bar) + eta * shift))
+
+
+def rho_for_lambda(rho_star_bar, lambda_tilde: RatVec, lambda_bar_vec: RatVec,
+                   pen: pen_mod.Penalty) -> Fraction:
+    """Shift a certificate weight from the optimal multipliers to any
+    multipliers: ceil(rho + eta * upper-bound on the Euclidean shift)."""
+    return _lambda_shift(rho_star_bar, lambda_tilde, lambda_bar_vec, pen)[2]
 
 
 def certificate_for_norm(inst: MiqpInstance, pen: pen_mod.Penalty,
@@ -391,10 +373,8 @@ def certificate_for_lambda(inst: MiqpInstance, pen: pen_mod.Penalty,
     if base is None:
         base = certificate_for_norm(inst, pen) if pen.kind != pen_mod.LINF \
             else rho_dual_linf(inst)
-    eta = pen_mod.norm_constants(pen).eta
-    diff = lambda_tilde - base.lambda_used
-    shift = Fraction(ceil_sqrt(diff.dot(diff)))
-    rho = rho_for_lambda(base.rho_star, lambda_tilde, base.lambda_used, pen)
+    eta, shift, rho = _lambda_shift(base.rho_star, lambda_tilde,
+                                    base.lambda_used, pen)
     return _issue(inst, lambda_tilde, rho, pen, LAMBDA_SHIFT,
                   LambdaShiftEvidence(eta, shift, base.rho_star), None)
 
@@ -416,10 +396,7 @@ def rho_bisect_empirical(inst: MiqpInstance, lam: RatVec,
     if not pen.is_norm:
         raise UnsupportedKindError("empirical bisection needs a norm kind")
     rho_max = rat(rho_max)
-    ip = solve_ip(inst)
-    if ip.status != OPTIMAL:
-        raise InfeasibleDomainError(f"ground-truth solve is {ip.status}")
-    z_ip = ip.value
+    z_ip = ground_truth(inst).value
 
     def hit(rho: Fraction) -> bool:
         rep = eval_lr_plus(inst, lam, rho, pen)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -448,7 +448,7 @@ def solve_linear(M: RatMat, v: RatVec) -> LinearSolveReport:
     for row in aug:
         den = 1
         for a in row:
-            den = den * a.denominator // _gcd(den, a.denominator)
+            den = lcm(den, a.denominator)
         if den != 1:
             for k in range(len(row)):
                 row[k] = row[k] * den
@@ -523,9 +523,3 @@ def nullspace_basis(M: RatMat) -> tuple[RatVec, ...]:
     if M.rows == 0:
         return tuple(RatVec.unit(M.cols, j) for j in range(M.cols))
     return solve_linear(M, RatVec.zeros(M.rows)).nullspace
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

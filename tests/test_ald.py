@@ -278,6 +278,8 @@ def test_sweep_rejects_bad_schedule(d1):
         gap_sweep(d1, pen, [1, 1])
     with pytest.raises(ValueError):
         gap_sweep(d1, pen, [-1, 1])
+    with pytest.raises(ValueError):
+        gap_sweep(d1, pen, [0, 1], ascent_iters=-3)
 
 
 def test_sweep_renders_unbounded_sentinel():

@@ -1,13 +1,27 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from aldual.cli import main, parse_rho_schedule, UsageError
-from aldual.instance import write_instance
-from aldual.numkit import parse_rat
+from aldual.exactrho import certify
+from aldual.instance import GenConfig, generate, read_instance, write_instance
+from aldual.numkit import RatVec, parse_rat
+from aldual.penalty import parse_penalty
 
 from conftest import d1_instance
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def d1_goldens():
+    """(command, golden) for every recorded CLI output on instances/d1.json."""
+    with open(ROOT / "aldbench" / "goldens.json", encoding="utf-8") as fh:
+        outputs = json.load(fh)["outputs"]
+    return [pytest.param(key[len("d1 | "):], want, id=key[len("d1 | "):])
+            for key, want in sorted(outputs.items()) if key.startswith("d1 | ")]
 
 
 @pytest.fixture
@@ -94,6 +108,14 @@ def test_sweep_csv(d1_path, capsys):
         assert parse_rat(cells[1]) == 1
 
 
+def test_sweep_negative_ascent_iters_is_usage_error(d1_path, capsys):
+    assert main(["sweep", "--instance", d1_path, "--penalty", "l1",
+                 "--rhos", "0,1", "--ascent-iters", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--ascent-iters" in captured.err
+
+
 def test_sweep_single_row_and_json(d1_path, tmp_path, capsys):
     out = tmp_path / "rows.json"
     assert main(["sweep", "--instance", d1_path, "--penalty", "sql2",
@@ -109,6 +131,20 @@ def test_rho_sufficient(d1_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["rho_star"] == "1/2"
     assert doc["method"] == "sufficient"
+
+
+@pytest.mark.parametrize("spec", ["linf", "slinf:2"])
+def test_rho_sufficient_no_dualized_rows(spec, tmp_path, capsys):
+    path = tmp_path / "m0.json"
+    write_instance(generate(GenConfig(n1=1, n2=1, m=0, m2=1, magnitude=2,
+                                      seed=3)), path)
+    assert main(["rho", "--instance", str(path), "--penalty", spec,
+                 "--method", "sufficient"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rho_star"] == "0"
+    inst = read_instance(path)
+    assert certify(inst, RatVec(parse_rat(v) for v in doc["lambda_used"]),
+                   parse_rat(doc["rho_star"]), parse_penalty(spec, inst.m))
 
 
 def test_rho_verify_dominance(d1_path, capsys):
@@ -198,3 +234,17 @@ def test_full_pipeline_on_generated_instance(tmp_path, capsys):
                  "--method", "dual-linf", "--verify"]) == 0
     cert = json.loads(capsys.readouterr().out)
     assert cert["empirical"]["dominates"] is True
+
+
+@pytest.mark.parametrize("command,golden", d1_goldens())
+def test_d1_output_matches_golden(command, golden, capsys):
+    """The behaviour contract: exit code and stdout byte-identical to the
+    recorded outputs on instances/d1.json."""
+    words = command.split()
+    argv = [words[0], "--instance", str(ROOT / "instances" / "d1.json"), *words[1:]]
+    code = main(argv)
+    assert (code, capsys.readouterr().out) == (golden["exit"], golden["stdout"])
+
+
+def test_d1_goldens_present():
+    assert len(d1_goldens()) == 7

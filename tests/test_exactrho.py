@@ -22,7 +22,7 @@ from aldual.exactrho import (
 )
 from aldual.instance import GenConfig, MiqpInstance, generate
 from aldual.numkit import RatMat, RatVec
-from aldual.penalty import L1, LINF, Penalty, SQL2
+from aldual.penalty import L1, LINF, Penalty, SCALED_LINF, SQL2
 
 WIDTH = Fraction(1, 1024)
 
@@ -67,6 +67,20 @@ def test_sufficient_l1_and_sql2_kinds(d1):
     for kind in (L1, SQL2):
         cert = rho_sufficient(d1, Penalty(kind, 1))
         assert certify(d1, cert.lambda_used, cert.rho_star, Penalty(kind, 1))
+
+
+@pytest.mark.parametrize("pen", [Penalty(LINF, 0), Penalty(L1, 0),
+                                 Penalty(SQL2, 0),
+                                 Penalty(SCALED_LINF, 0, alpha=Fraction(1, 2))],
+                         ids=lambda p: p.kind)
+def test_sufficient_no_dualized_rows(pen):
+    # no dualized rows (m = 0): the epigraph has no rows, so w must be
+    # pinned at zero, and every penalty is identically zero
+    inst = generate(GenConfig(n1=1, n2=1, m=0, m2=1, magnitude=2, seed=3))
+    cert = rho_sufficient(inst, pen)
+    assert cert.rho_star == 0
+    assert cert.evidence.delta == 1
+    assert certify(inst, cert.lambda_used, cert.rho_star, pen)
 
 
 # -------------------------------------------------------------- dual linf
