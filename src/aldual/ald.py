@@ -8,6 +8,7 @@ convex subproblems.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,22 @@ from .instance import MiqpInstance
 from .numkit import RatMat, RatVec, ceil_rat, floor_rat, format_rat, rat
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _per_instance(fn):
+    """Compute ``fn(inst)`` once per instance object, kept in its ``__dict__``
+    outside the dataclass fields (equality, hashing and ``replace`` ignore
+    it); a call that raises stores nothing.  Results are shared: immutable."""
+    key = "_" + fn.__name__
+
+    @functools.wraps(fn)
+    def once(inst: MiqpInstance):
+        facts = vars(inst)
+        if key not in facts:
+            facts[key] = fn(inst)
+        return facts[key]
+
+    return once
 
 
 @dataclass(frozen=True)
@@ -49,10 +65,6 @@ class IntegerBox:
     def empty(n2: int) -> "IntegerBox":
         return IntegerBox((0,) * n2, (-1,) * n2)
 
-    @property
-    def is_empty(self) -> bool:
-        return any(lo > hi for lo, hi in zip(self.lower, self.upper))
-
     def size(self) -> int:
         total = 1
         for lo, hi in zip(self.lower, self.upper):
@@ -65,6 +77,7 @@ class IntegerBox:
         return itertools.product(*ranges)
 
 
+@_per_instance
 def integer_box(inst: MiqpInstance) -> IntegerBox:
     """ceil/floor of the LP min/max of each integer coordinate over Ex <= f."""
     lower, upper = [], []
@@ -101,6 +114,7 @@ class NlpDuals:
     x: RatVec
 
 
+@_per_instance
 def lambda_bar(inst: MiqpInstance) -> NlpDuals:
     rep = solve_qp(relaxation_program(inst))
     if rep.status == INFEASIBLE:
@@ -115,8 +129,8 @@ class _SliceSolver:
 
     The quadratic/linear data live over the full variable vector (plus
     optional auxiliary columns, the last of which, w, costs ``w_weight``);
-    fixing the integer part specializes each constraint row and the
-    objective exactly.
+    fixing the integer part x2 leaves each constraint matrix unchanged and
+    moves only the right-hand sides and the objective, exactly.
     """
 
     def __init__(self, inst: MiqpInstance, Qfull: RatMat, cfull: RatVec,
@@ -124,66 +138,54 @@ class _SliceSolver:
                  w_weight: Fraction = _ZERO, include_eq: bool = False):
         self.inst = inst
         n1, n = inst.n1, inst.n
+        n_aux = enc.n_aux if enc is not None else 0
         idx1, idx2 = list(range(n1)), list(range(n1, n))
-        self.Q11 = Qfull.submatrix(idx1, idx1)
         self.Q12 = Qfull.submatrix(idx1, idx2)
         self.Q22 = Qfull.submatrix(idx2, idx2)
         self.c1 = cfull[:n1]
         self.c2 = cfull[n1:]
         self.const = const
-        self.E1, self.E2 = inst.split_cols(inst.E)
-        self.n_aux = enc.n_aux if enc is not None else 0
-        self.aux_cost = [_ZERO] * (self.n_aux - 1) + [w_weight] if self.n_aux else []
-        width = n1 + self.n_aux
-        # E rows padded with zero aux columns
-        self.ineq_rows = [list(self.E1.row(i)) + [_ZERO] * self.n_aux
-                          for i in range(self.E1.rows)]
-        self.ineq_base = list(inst.f)
-        self.ineq_x2 = [self.E2.row(i) for i in range(self.E2.rows)]
-        self.eq_rows: list[list[Fraction]] = []
-        self.eq_base: list[Fraction] = []
-        self.eq_x2: list[RatVec] = []
-        if include_eq:
-            A1, A2 = inst.split_cols(inst.A)
-            for i in range(inst.m):
-                self.eq_rows.append(list(A1.row(i)) + [_ZERO] * self.n_aux)
-                self.eq_base.append(inst.b[i])
-                self.eq_x2.append(A2.row(i))
-        if enc is not None:
-            for i in range(enc.ineq_lhs.rows):
-                row = list(enc.ineq_lhs.row(i))
-                self.ineq_rows.append(row[:n1] + row[n:])
-                self.ineq_base.append(enc.ineq_rhs[i])
-                self.ineq_x2.append(RatVec(row[n1:n]))
-            for i in range(enc.eq_lhs.rows):
-                row = list(enc.eq_lhs.row(i))
-                self.eq_rows.append(row[:n1] + row[n:])
-                self.eq_base.append(enc.eq_rhs[i])
-                self.eq_x2.append(RatVec(row[n1:n]))
-        pad = RatMat.zeros(self.n_aux, self.n_aux)
-        top = RatMat.hstack([self.Q11, RatMat.zeros(n1, self.n_aux)])
-        bot = RatMat.hstack([RatMat.zeros(self.n_aux, n1), pad])
-        self.Qsub = RatMat.vstack([top, bot], cols=width)
-        # constraint matrices are x2-independent; only right-hand sides move
-        self.ineq_mat = RatMat(self.ineq_rows, cols=width)
-        self.eq_mat = RatMat(self.eq_rows, cols=width)
+        self.aux_cost = [_ZERO] * (n_aux - 1) + [w_weight] if n_aux else []
+        width = n1 + n_aux
+        self.Qsub = RatMat.vstack([
+            RatMat.hstack([Qfull.submatrix(idx1, idx1), RatMat.zeros(n1, n_aux)]),
+            RatMat.zeros(n_aux, width)], cols=width)
         self.quad_free = self.Qsub.is_zero()
+        # rows over (x, aux): [E | 0] then the epigraph inequalities;
+        # [A | 0] (solve_ip only) then the epigraph equalities
+        ineq = [RatMat.hstack([inst.E, RatMat.zeros(inst.m2, n_aux)])]
+        ineq_rhs = list(inst.f)
+        eq = [RatMat.hstack([inst.A, RatMat.zeros(inst.m, n_aux)])] if include_eq \
+            else []
+        eq_rhs = list(inst.b) if include_eq else []
+        if enc is not None:
+            ineq.append(enc.ineq_lhs)
+            ineq_rhs += enc.ineq_rhs
+            eq.append(enc.eq_lhs)
+            eq_rhs += enc.eq_rhs
+
+        def split(parts):
+            M = RatMat.vstack(parts, cols=n + n_aux)
+            return (RatMat.hstack([M.col_block(0, n1), M.col_block(n, n + n_aux)]),
+                    M.col_block(n1, n))
+
+        # the block matrices are x2-independent; base - X2 x2 is the rhs
+        self.ineq_mat, self.ineq_x2 = split(ineq)
+        self.eq_mat, self.eq_x2 = split(eq)
+        self.ineq_base, self.eq_base = RatVec(ineq_rhs), RatVec(eq_rhs)
 
     def solve(self, x2: tuple[int, ...]) -> tuple[SolveReport, Fraction]:
         """Returns the block report and the x2-dependent constant term."""
         x2v = RatVec(x2)
-        lin = list(self.c1 + self.Q12.matvec(x2v)) + self.aux_cost
+        lin = RatVec(list(self.c1 + self.Q12.matvec(x2v)) + self.aux_cost)
         const = self.const + self.c2.dot(x2v) + x2v.dot(self.Q22.matvec(x2v)) / 2
-        ineq_rhs = RatVec(base - coeff.dot(x2v)
-                          for base, coeff in zip(self.ineq_base, self.ineq_x2))
-        eq_rhs = RatVec(base - coeff.dot(x2v)
-                        for base, coeff in zip(self.eq_base, self.eq_x2))
+        ineq_rhs = self.ineq_base - self.ineq_x2.matvec(x2v)
+        eq_rhs = self.eq_base - self.eq_x2.matvec(x2v)
         if self.quad_free:
-            rep = solve_lp(LinearProgram(RatVec(lin), self.eq_mat, eq_rhs,
+            rep = solve_lp(LinearProgram(lin, self.eq_mat, eq_rhs,
                                          self.ineq_mat, ineq_rhs))
         else:
-            rep = solve_qp(QuadraticProgram(self.Qsub, RatVec(lin),
-                                            self.eq_mat, eq_rhs,
+            rep = solve_qp(QuadraticProgram(self.Qsub, lin, self.eq_mat, eq_rhs,
                                             self.ineq_mat, ineq_rhs))
         return rep, const
 
@@ -208,9 +210,10 @@ class _SliceSolver:
 def penalized_slicer(inst: MiqpInstance, Q: RatMat, c: RatVec, const: Fraction,
                      pen: pen_mod.Penalty, rho: Fraction) -> _SliceSolver:
     """Slices of  min 1/2 x^T Q x + c^T x + const + rho * psi(b - Ax)
-    over E x <= f: no penalty term at rho = 0, the penalty absorbed into
-    the quadratic for sql2, epigraph rows on auxiliary columns otherwise."""
-    if rho == 0:
+    over E x <= f: no penalty term at rho = 0 or without dualized rows
+    (psi of an empty residual is 0), the penalty absorbed into the
+    quadratic for sql2, epigraph rows on auxiliary columns otherwise."""
+    if rho == 0 or inst.m == 0:
         return _SliceSolver(inst, Q, c, const)
     if pen.kind == pen_mod.SQL2:
         At = inst.A.transpose()
@@ -218,17 +221,10 @@ def penalized_slicer(inst: MiqpInstance, Q: RatMat, c: RatVec, const: Fraction,
                             c - At.matvec(inst.b).scale(2 * rho),
                             const + rho * inst.b.dot(inst.b))
     enc = pen_mod.epigraph_rows(pen, inst.A, inst.b)
-    if pen.dim == 0 and enc.ineq_lhs.rows == 0 and enc.eq_lhs.rows == 0:
-        # no residual coordinates: pin w at zero
-        enc = pen_mod.EpigraphEncoding(
-            enc.n_aux,
-            enc.ineq_lhs, enc.ineq_rhs,
-            RatMat([[_ZERO] * inst.n + [_ONE] * enc.n_aux], cols=inst.n + enc.n_aux),
-            RatVec([_ZERO]),
-        )
     return _SliceSolver(inst, Q, c, const, enc, rho)
 
 
+@_per_instance
 def solve_ip(inst: MiqpInstance) -> SolveReport:
     """Ground-truth mixed integer optimum by exact enumeration.
 
@@ -371,7 +367,8 @@ class SweepRow:
 def stream_gap_sweep(inst: MiqpInstance, pen: pen_mod.Penalty, rhos,
                      lam: RatVec | None = None, ascent_iters: int = 0,
                      step0=1):
-    """Yield SweepRows in schedule order, enforcing exact monotonicity."""
+    """SweepRows in schedule order, enforcing exact monotonicity.  The checks,
+    the ground truth and lambda_bar run at the call; the rows come lazily."""
     rhos = [rat(r) for r in rhos]
     if not rhos:
         raise ValueError("empty rho schedule")
@@ -384,25 +381,29 @@ def stream_gap_sweep(inst: MiqpInstance, pen: pen_mod.Penalty, rhos,
     if lam is None:
         lam = duals.lambda_bar
     z_ip, z_nlp = ip.value, duals.z_nlp
-    prev: Fraction | None = None
-    have_prev = False
-    for rho in rhos:
-        rep = eval_lr_plus(inst, lam, rho, pen)
-        z_lr = None if rep.unbounded else rep.value
-        gap = None if z_lr is None else z_ip - z_lr
-        if gap is not None and gap < 0:
-            raise InternalInvariantError("relaxation exceeded the integer optimum")
-        kappa = None
-        if rho > 0:
-            kappa = pen_mod.level_diam(pen, 2 * (z_ip - z_nlp) / rho)
-        z_ld = None
-        if ascent_iters:
-            asc = dual_ascent(inst, rho, pen, lam, ascent_iters, step0)
-            z_ld = asc.best_value
-        if have_prev and _lt_with_neg_inf(z_lr, prev):
-            raise InternalInvariantError("relaxation value decreased along rho")
-        prev, have_prev = z_lr, True
-        yield SweepRow(rho, z_lr, z_ld, gap, rep.violation, kappa)
+
+    def rows():
+        prev: Fraction | None = None
+        have_prev = False
+        for rho in rhos:
+            rep = eval_lr_plus(inst, lam, rho, pen)
+            z_lr = None if rep.unbounded else rep.value
+            gap = None if z_lr is None else z_ip - z_lr
+            if gap is not None and gap < 0:
+                raise InternalInvariantError("relaxation exceeded the integer optimum")
+            kappa = None
+            if rho > 0:
+                kappa = pen_mod.level_diam(pen, 2 * (z_ip - z_nlp) / rho)
+            z_ld = None
+            if ascent_iters:
+                asc = dual_ascent(inst, rho, pen, lam, ascent_iters, step0)
+                z_ld = asc.best_value
+            if have_prev and _lt_with_neg_inf(z_lr, prev):
+                raise InternalInvariantError("relaxation value decreased along rho")
+            prev, have_prev = z_lr, True
+            yield SweepRow(rho, z_lr, z_ld, gap, rep.violation, kappa)
+
+    return rows()
 
 
 def gap_sweep(inst: MiqpInstance, pen: pen_mod.Penalty, rhos,

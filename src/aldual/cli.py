@@ -21,10 +21,15 @@ from .errors import (
     AldualError,
     BisectionCapError,
     DeltaZeroError,
+    DimMismatchError,
     InfeasibleDomainError,
     InternalInvariantError,
+    NegativeDeltaError,
     NlpInfeasibleError,
     NlpUnboundedError,
+    NotPsdError,
+    NotSquareError,
+    NotSymmetricError,
     ParseError,
     RationalParseError,
     SchemaViolationError,
@@ -189,13 +194,15 @@ def cmd_sweep(args) -> int:
     if args.ascent_iters < 0:
         raise UsageError("--ascent-iters must be nonnegative")
     lam = None if args.lam == "bar" else _resolve_lambda(args.lam, inst)
+    # the sweep's checks and ground truth run here, before any output
+    stream = ald.stream_gap_sweep(inst, pen, rhos, lam=lam,
+                                  ascent_iters=args.ascent_iters)
     rows = []
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         if args.format == "csv":
             print(ald.SWEEP_CSV_HEADER, file=sink, flush=sink is sys.stdout)
-        for row in ald.stream_gap_sweep(inst, pen, rhos, lam=lam,
-                                        ascent_iters=args.ascent_iters):
+        for row in stream:
             rows.append(row)
             if args.format == "csv":
                 print(ald.sweep_row_csv(row), file=sink,
@@ -216,6 +223,9 @@ def cmd_rho(args) -> int:
         args.penalty = method[len("norm:"):]
         method = "norm"
     pen = pen_mod.parse_penalty(args.penalty, inst.m)
+    if method != "shift" and args.lam != "bar":
+        raise UsageError(f"--lambda is read by method shift only; {method} "
+                         "uses lambda_bar")
     if method == "dual-linf":
         if pen.kind != pen_mod.LINF:
             raise UsageError("method dual-linf requires --penalty linf")
@@ -321,8 +331,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    # shape and curvature errors subclass ValueError but cannot come from an
+    # instance that passed validation: they are bugs, not bad input
+    except (InternalInvariantError, BisectionCapError, AssertionError,
+            DimMismatchError, NotSquareError, NotSymmetricError, NotPsdError,
+            NegativeDeltaError) as exc:
+        print(f"internal invariant breach: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ParseError, SchemaViolationError, RationalParseError,
-            UnsupportedKindError, FileNotFoundError, ValueError) as exc:
+            UnsupportedKindError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NlpUnboundedError, UnboundedIntegerVarError,
@@ -332,9 +349,6 @@ def main(argv=None) -> int:
     except (NlpInfeasibleError, InfeasibleDomainError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (InternalInvariantError, BisectionCapError, AssertionError) as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 def console_main() -> None:

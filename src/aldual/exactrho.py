@@ -169,17 +169,17 @@ def certify(inst: MiqpInstance, lam: RatVec, rho, pen: pen_mod.Penalty,
     return (not rep.unbounded) and rep.value == z_ip
 
 
-def _issue(inst, lam, rho, pen, method, evidence, z_ip) -> RhoCertificate:
-    if not certify(inst, lam, rho, pen, z_ip):
+def _issue(inst, lam, rho, pen, method, evidence) -> RhoCertificate:
+    if not certify(inst, lam, rho, pen):
         raise InternalInvariantError(
             f"{method} weight {rho} failed primal verification"
         )
     return RhoCertificate(rat(rho), method, lam, evidence)
 
 
-def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty,
-                   lam: RatVec | None = None) -> RhoCertificate:
-    """Margin-formula weight: (objective at a feasible point - z_nlp)/delta.
+def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty) -> RhoCertificate:
+    """Margin-formula weight at lambda_bar: (objective at a feasible point
+    - z_nlp)/delta.
 
     delta is the exact minimum of the penalty over integer assignments
     whose continuous slice cannot reach a zero residual; if some slice
@@ -189,8 +189,6 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty,
     """
     ip = ground_truth(inst)
     duals = lambda_bar(inst)
-    if lam is None:
-        lam = duals.lambda_bar
     n = inst.n
     A1, _ = inst.split_cols(inst.A)
     continuous_acts = not A1.is_zero()
@@ -212,7 +210,7 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty,
     delta = min(candidates) if candidates else _ONE
     rho_star = (inst.objective_value(ip.x) - duals.z_nlp) / delta
     evidence = SufficientEvidence(ip.x, delta, duals.z_nlp)
-    return _issue(inst, lam, rho_star, pen, SUFFICIENT, evidence, ip.value)
+    return _issue(inst, duals.lambda_bar, rho_star, pen, SUFFICIENT, evidence)
 
 
 def _dual_probe(inst: MiqpInstance, lam: RatVec, slicer,
@@ -284,8 +282,7 @@ def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
     lam = lambda_bar(inst).lambda_bar
     pen_linf = pen_mod.Penalty(pen_mod.LINF, inst.m)
     if inst.m == 0:
-        return _issue(inst, lam, _ONE, pen_linf, DUAL_LINF,
-                      DualLinfEvidence(()), z_ip)
+        return _issue(inst, lam, _ONE, pen_linf, DUAL_LINF, DualLinfEvidence(()))
 
     chat = inst.c - inst.A.tmatvec(lam)
     slicers: dict = {}
@@ -326,7 +323,7 @@ def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
         records.append(rec_hi)
         current = hi
     return _issue(inst, lam, current, pen_linf, DUAL_LINF,
-                  DualLinfEvidence(tuple(records)), z_ip)
+                  DualLinfEvidence(tuple(records)))
 
 
 def rho_for_norm(rho_hat, pen: pen_mod.Penalty) -> Fraction:
@@ -363,7 +360,7 @@ def certificate_for_norm(inst: MiqpInstance, pen: pen_mod.Penalty,
     rho = rho_for_norm(base.rho_star, pen)
     gamma = pen_mod.norm_constants(pen).gamma
     return _issue(inst, base.lambda_used, rho, pen, NORM_CONVERT,
-                  NormConvertEvidence(gamma, base.rho_star), None)
+                  NormConvertEvidence(gamma, base.rho_star))
 
 
 def certificate_for_lambda(inst: MiqpInstance, pen: pen_mod.Penalty,
@@ -376,7 +373,7 @@ def certificate_for_lambda(inst: MiqpInstance, pen: pen_mod.Penalty,
     eta, shift, rho = _lambda_shift(base.rho_star, lambda_tilde,
                                     base.lambda_used, pen)
     return _issue(inst, lambda_tilde, rho, pen, LAMBDA_SHIFT,
-                  LambdaShiftEvidence(eta, shift, base.rho_star), None)
+                  LambdaShiftEvidence(eta, shift, base.rho_star))
 
 
 @dataclass(frozen=True)
@@ -422,4 +419,4 @@ def certificate_empirical(inst: MiqpInstance, lam: RatVec,
     if not bound.achieved:
         raise BisectionCapError(f"no certifying weight below {rho_max}")
     return _issue(inst, lam, bound.rho_min_upper, pen, EMPIRICAL,
-                  EmpiricalEvidence(_EMPIRICAL_WIDTH), None)
+                  EmpiricalEvidence(_EMPIRICAL_WIDTH))

@@ -157,9 +157,6 @@ class RatVec(Sequence):
         self._check_dim(other)
         return sum((a * b for a, b in zip(self._e, other._e)), _ZERO)
 
-    def concat(self, other: "RatVec") -> "RatVec":
-        return RatVec(self._e + other._e)
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self._e)
 
@@ -208,10 +205,6 @@ class RatMat:
         )
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable], cols: int | None = None) -> "RatMat":
-        return RatMat(rows, cols=cols)
-
-    @staticmethod
     def vstack(parts: Sequence["RatMat"], cols: int | None = None) -> "RatMat":
         widths = {p.cols for p in parts if p.rows > 0}
         if len(widths) > 1:
@@ -243,9 +236,6 @@ class RatMat:
 
     def row(self, i: int) -> RatVec:
         return RatVec(self._rows[i])
-
-    def col(self, j: int) -> RatVec:
-        return RatVec(r[j] for r in self._rows)
 
     def row_list(self) -> list[list[Fraction]]:
         """Mutable copy of the entries for elimination routines."""

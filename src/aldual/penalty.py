@@ -68,11 +68,6 @@ class Penalty:
     def is_norm(self) -> bool:
         return self.kind != SQL2
 
-    def spec_string(self) -> str:
-        if self.kind == SCALED_LINF:
-            return f"slinf:{self.alpha}"
-        return self.kind
-
 
 def parse_penalty(spec: str, dim: int) -> Penalty:
     """Parse the CLI spec string: linf | l1 | sql2 | slinf:<p/q>."""

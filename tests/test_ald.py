@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from aldual import ald
 from aldual.ald import (
     SWEEP_CSV_HEADER,
     dual_ascent,
@@ -20,7 +21,7 @@ from aldual.convexsolve import INFEASIBLE, OPTIMAL
 from aldual.errors import UnboundedIntegerVarError
 from aldual.instance import GenConfig, MiqpInstance, generate
 from aldual.numkit import RatMat, RatVec, parse_rat
-from aldual.penalty import L1, LINF, Penalty, SQL2
+from aldual.penalty import L1, LINF, Penalty, SQL2, parse_penalty
 
 
 def _replace(inst, **kw):
@@ -342,3 +343,66 @@ def test_weak_duality_chain_small_instances():
             for rho in (0, 1, 4):
                 rep = eval_lr_plus(inst, nd.lambda_bar, rho, pen)
                 assert nd.z_nlp <= rep.value <= ip.value
+
+
+# ------------------------------------------------- per-instance facts once
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts the LP and QP solves made through aldual.ald."""
+    calls = {"lp": 0, "qp": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ald, "solve_lp", counting("lp", ald.solve_lp))
+    monkeypatch.setattr(ald, "solve_qp", counting("qp", ald.solve_qp))
+    return calls
+
+
+def _mixed_instance():
+    return generate(GenConfig(1, 1, 1, 1, magnitude=2, seed=41))
+
+
+@pytest.mark.parametrize("fact", [integer_box, solve_ip, lambda_bar])
+def test_fact_computed_once_per_instance(fact, solver_calls):
+    inst = _mixed_instance()
+    first = fact(inst)
+    made = dict(solver_calls)
+    assert sum(made.values()) > 0
+    assert fact(inst) is first
+    assert solver_calls == made
+
+
+@pytest.mark.parametrize("fact", [integer_box, solve_ip, lambda_bar])
+def test_fact_recomputed_on_replaced_copy(fact, solver_calls):
+    inst = _mixed_instance()
+    first = fact(inst)
+    copy = _replace(inst)
+    assert copy == inst and hash(copy) == hash(inst)
+    made = dict(solver_calls)
+    again = fact(copy)
+    assert solver_calls != made
+    assert again == first and again is not first
+
+
+def test_fact_errors_are_not_stored():
+    inst = MiqpInstance(Q=RatMat([[2]]), c=RatVec([0]), A=RatMat([], cols=1),
+                        b=RatVec([]), E=RatMat([], cols=1), f=RatVec([]),
+                        n1=0, n2=1)
+    for _ in range(2):
+        with pytest.raises(UnboundedIntegerVarError):
+            integer_box(inst)
+
+
+@pytest.mark.parametrize("spec", ["linf", "l1", "slinf:2", "sql2"])
+def test_eval_without_dualized_rows_ignores_rho(spec):
+    inst = generate(GenConfig(1, 2, 0, 1, magnitude=2, seed=5))
+    assert inst.m == 0
+    pen = parse_penalty(spec, 0)
+    values = {eval_lr_plus(inst, RatVec([]), rho, pen).value for rho in (0, 1, 4)}
+    assert len(values) == 1
+    assert values == {solve_ip(inst).value}

@@ -1,10 +1,19 @@
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from aldual import ald
 from aldual.cli import main, parse_rho_schedule, UsageError
+from aldual.errors import (
+    DimMismatchError,
+    NegativeDeltaError,
+    NotPsdError,
+    NotSquareError,
+    NotSymmetricError,
+)
 from aldual.exactrho import certify
 from aldual.instance import GenConfig, generate, read_instance, write_instance
 from aldual.numkit import RatVec, parse_rat
@@ -248,3 +257,48 @@ def test_d1_output_matches_golden(command, golden, capsys):
 
 def test_d1_goldens_present():
     assert len(d1_goldens()) == 7
+
+
+def test_sweep_error_leaves_no_output(tmp_path, capsys):
+    # x1 + x2 = 1/2 has no integer solution: the ground truth is infeasible
+    path = tmp_path / "parity.json"
+    write_instance(dataclasses.replace(d1_instance(), b=RatVec(["1/2"])), path)
+    out = tmp_path / "rows.csv"
+    for extra in ([], ["--out", str(out)]):
+        assert main(["sweep", "--instance", str(path), "--penalty", "linf",
+                     "--rhos", "0,1", *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "infeasible" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["sufficient", "dual-linf", "norm", "norm:l1"])
+def test_rho_lambda_only_for_shift(d1_path, method, capsys):
+    assert main(["rho", "--instance", d1_path, "--penalty", "linf",
+                 "--method", method, "--lambda", "zeros"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--lambda" in captured.err
+    # the default names lambda_bar and is accepted
+    assert main(["rho", "--instance", d1_path, "--penalty", "linf",
+                 "--method", method, "--lambda", "bar"]) == 0
+
+
+@pytest.mark.parametrize("error", [
+    DimMismatchError("dims"), NotSquareError("square"),
+    NotSymmetricError("symmetric"), NotPsdError("psd"),
+    NegativeDeltaError("delta")])
+def test_shape_errors_after_validation_are_internal(d1_path, error,
+                                                    monkeypatch, capsys):
+    def broken(inst):
+        raise error
+
+    monkeypatch.setattr(ald, "lambda_bar", broken)
+    assert main(["solve", "--instance", d1_path]) == 4
+    assert "internal invariant breach" in capsys.readouterr().err
+
+
+def test_unreadable_instance_is_input_error(tmp_path, capsys):
+    assert main(["check", "--instance", str(tmp_path)]) == 1
+    assert "input error" in capsys.readouterr().err
