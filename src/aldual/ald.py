@@ -3,7 +3,8 @@
 The integer variables are always enumerated over a box implied by the
 linear set (computed by LP), so the ground-truth mixed integer value and
 every penalized relaxation value are exact minima over finitely many
-convex subproblems.
+convex subproblems.  Without continuous variables (n1 = 0) each
+subproblem is a single point, evaluated in closed form with no solver.
 """
 
 from __future__ import annotations
@@ -124,20 +125,38 @@ def lambda_bar(inst: MiqpInstance) -> NlpDuals:
     return NlpDuals(rep.eq_duals, rep.ineq_duals, rep.value, rep.x)
 
 
+@_per_instance
+def _lattice_points(inst: MiqpInstance) -> tuple:
+    """``(x2, x2 as a vector, residual b - A x2)`` for each point of the
+    integer box with E x2 <= f, in lexicographic order: the feasible slices
+    of a pure-integer instance (n1 = 0)."""
+    table = []
+    for x2 in integer_box(inst).assignments():
+        x2v = RatVec(x2)
+        if all(v <= fi for v, fi in zip(inst.E.matvec(x2v), inst.f)):
+            table.append((x2, x2v, inst.b - inst.A.matvec(x2v)))
+    return tuple(table)
+
+
 class _SliceSolver:
     """Per-assignment continuous subproblems for a fixed objective shape.
 
-    The quadratic/linear data live over the full variable vector (plus
-    optional auxiliary columns, the last of which, w, costs ``w_weight``);
-    fixing the integer part x2 leaves each constraint matrix unchanged and
-    moves only the right-hand sides and the objective, exactly.
+    The quadratic/linear data live over the full variable vector (plus,
+    when a norm penalty is given, its epigraph's auxiliary columns, the
+    last of which, w, costs ``w_weight``); fixing the integer part x2
+    leaves each constraint matrix unchanged and moves only the right-hand
+    sides and the objective, exactly.  Without continuous variables a
+    slice is the point x2 itself: ``scan`` evaluates it in closed form
+    (w at its minimum is the penalty of the residual).
     """
 
     def __init__(self, inst: MiqpInstance, Qfull: RatMat, cfull: RatVec,
-                 const: Fraction, enc: pen_mod.EpigraphEncoding | None = None,
+                 const: Fraction, pen: pen_mod.Penalty | None = None,
                  w_weight: Fraction = _ZERO, include_eq: bool = False):
         self.inst = inst
+        self.pen, self.w_weight, self.include_eq = pen, w_weight, include_eq
         n1, n = inst.n1, inst.n
+        enc = pen_mod.epigraph_rows(pen, inst.A, inst.b) if pen is not None else None
         n_aux = enc.n_aux if enc is not None else 0
         idx1, idx2 = list(range(n1)), list(range(n1, n))
         self.Q12 = Qfull.submatrix(idx1, idx2)
@@ -174,11 +193,14 @@ class _SliceSolver:
         self.eq_mat, self.eq_x2 = split(eq)
         self.ineq_base, self.eq_base = RatVec(ineq_rhs), RatVec(eq_rhs)
 
+    def _fixed_part(self, x2v: RatVec) -> Fraction:
+        """The objective's x2-only terms: const + c2.x2 + 1/2 x2^T Q22 x2."""
+        return self.const + self.c2.dot(x2v) + x2v.dot(self.Q22.matvec(x2v)) / 2
+
     def solve(self, x2: tuple[int, ...]) -> tuple[SolveReport, Fraction]:
         """Returns the block report and the x2-dependent constant term."""
         x2v = RatVec(x2)
         lin = RatVec(list(self.c1 + self.Q12.matvec(x2v)) + self.aux_cost)
-        const = self.const + self.c2.dot(x2v) + x2v.dot(self.Q22.matvec(x2v)) / 2
         ineq_rhs = self.ineq_base - self.ineq_x2.matvec(x2v)
         eq_rhs = self.eq_base - self.eq_x2.matvec(x2v)
         if self.quad_free:
@@ -187,24 +209,37 @@ class _SliceSolver:
         else:
             rep = solve_qp(QuadraticProgram(self.Qsub, lin, self.eq_mat, eq_rhs,
                                             self.ineq_mat, ineq_rhs))
-        return rep, const
+        return rep, self._fixed_part(x2v)
 
-    def scan(self, box: IntegerBox):
-        """Feasible slices in lexicographic order of the assignment.
+    def scan(self):
+        """Feasible slices of the integer box in lexicographic order.
 
-        Yields ``(x2, report, value)`` where ``value`` is the slice minimum
-        (``report.value`` plus the x2-dependent constant), or None when the
-        slice is unbounded below.  Infeasible slices are skipped.
+        Yields ``(x2, report, value)`` where ``value`` is the slice minimum,
+        or None when the slice is unbounded below; infeasible slices are
+        skipped.  ``report`` is the slice's solver report, or None for a
+        point slice (n1 = 0), whose value is computed directly.
         """
-        for x2 in box.assignments():
+        if self.inst.n1 == 0:
+            for x2, x2v, resid in _lattice_points(self.inst):
+                if self.include_eq and not resid.is_zero():
+                    continue
+                value = self._fixed_part(x2v)
+                if self.pen is not None:
+                    value += self.w_weight * pen_mod.evaluate(self.pen, resid)
+                yield x2, None, value
+            return
+        for x2 in integer_box(self.inst).assignments():
             rep, const = self.solve(x2)
             if rep.status == INFEASIBLE:
                 continue
             yield x2, rep, (None if rep.status == UNBOUNDED else rep.value + const)
 
-    def lift(self, x2: tuple[int, ...], block_x: RatVec) -> RatVec:
-        """Full primal point (x1, x2) from a block solution (x1, aux)."""
-        return RatVec(list(block_x[: self.inst.n1]) + list(x2))
+    def lift(self, x2: tuple[int, ...], report: SolveReport | None) -> RatVec:
+        """Full primal point (x1, x2) of a slice from ``scan``: x2 itself
+        for a point slice, else from the block solution (x1, aux)."""
+        if report is None:
+            return RatVec(x2)
+        return RatVec(list(report.x[: self.inst.n1]) + list(x2))
 
 
 def penalized_slicer(inst: MiqpInstance, Q: RatMat, c: RatVec, const: Fraction,
@@ -220,8 +255,7 @@ def penalized_slicer(inst: MiqpInstance, Q: RatMat, c: RatVec, const: Fraction,
         return _SliceSolver(inst, Q + At.matmul(inst.A).scale(2 * rho),
                             c - At.matvec(inst.b).scale(2 * rho),
                             const + rho * inst.b.dot(inst.b))
-    enc = pen_mod.epigraph_rows(pen, inst.A, inst.b)
-    return _SliceSolver(inst, Q, c, const, enc, rho)
+    return _SliceSolver(inst, Q, c, const, pen, rho)
 
 
 @_per_instance
@@ -231,17 +265,16 @@ def solve_ip(inst: MiqpInstance) -> SolveReport:
     Ties between integer assignments are broken toward the
     lexicographically smallest one.
     """
-    box = integer_box(inst)
     slicer = _SliceSolver(inst, inst.Q, inst.c, _ZERO, include_eq=True)
     best_val = None
     best_x = None
-    for x2, rep, total in slicer.scan(box):
+    for x2, rep, total in slicer.scan():
         if total is None:
             ray = RatVec(list(rep.ray[: inst.n1]) + [_ZERO] * inst.n2)
-            return SolveReport(status=UNBOUNDED, x=slicer.lift(x2, rep.x), ray=ray)
+            return SolveReport(status=UNBOUNDED, x=slicer.lift(x2, rep), ray=ray)
         if best_val is None or total < best_val:
             best_val = total
-            best_x = slicer.lift(x2, rep.x)
+            best_x = slicer.lift(x2, rep)
     if best_val is None:
         return SolveReport(status=INFEASIBLE)
     return SolveReport(status=OPTIMAL, value=best_val, x=best_x)
@@ -279,8 +312,9 @@ def eval_lr_plus(inst: MiqpInstance, lam: RatVec, rho, pen: pen_mod.Penalty,
     Minimizes  c^T x + 1/2 x^T Q x + lam^T (b - Ax) + rho * psi(b - Ax)
     over the mixed integer linear set, by enumerating integer assignments
     and solving one exact convex subproblem per assignment (epigraph rows
-    for the norm kinds, quadratic absorption for sql2).  With rho = 0 this
-    is the classical Lagrangian relaxation.
+    for the norm kinds, quadratic absorption for sql2; a point evaluated
+    directly when n1 = 0).  With rho = 0 this is the classical Lagrangian
+    relaxation.
     """
     if len(lam) != inst.m:
         raise DimMismatchError(f"multiplier dim {len(lam)} vs {inst.m} rows")
@@ -289,21 +323,20 @@ def eval_lr_plus(inst: MiqpInstance, lam: RatVec, rho, pen: pen_mod.Penalty,
         raise ValueError("rho must be nonnegative")
     if pen.dim != inst.m:
         raise DimMismatchError(f"penalty dim {pen.dim} vs {inst.m} rows")
-    box = integer_box(inst)
     chat = inst.c - inst.A.tmatvec(lam) if inst.m else inst.c
     slicer = penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b), pen, rho)
     best_val = None
     best_x = None
     best_x2 = None
     table = [] if keep_table else None
-    for x2, rep, total in slicer.scan(box):
+    for x2, rep, total in slicer.scan():
         if total is None:
             return RelaxReport(None, None, None, x2, unbounded=True)
         if table is not None:
             table.append((x2, total))
         if best_val is None or total < best_val:
             best_val = total
-            best_x = slicer.lift(x2, rep.x)
+            best_x = slicer.lift(x2, rep)
             best_x2 = x2
     if best_val is None:
         raise InfeasibleDomainError("the mixed integer linear set is empty")

@@ -197,7 +197,7 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty) -> RhoCertificate:
     slicer = penalized_slicer(inst, RatMat.zeros(n, n), RatVec.zeros(n),
                               _ZERO, pen, _ONE)
     candidates: list[Fraction] = []
-    for x2, _, vmin in slicer.scan(integer_box(inst)):
+    for x2, _, vmin in slicer.scan():
         if vmin is None:
             raise InternalInvariantError("penalty minimization unbounded")
         if vmin > 0:

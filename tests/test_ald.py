@@ -18,10 +18,14 @@ from aldual.ald import (
     violation_bound_check,
 )
 from aldual.convexsolve import INFEASIBLE, OPTIMAL
-from aldual.errors import UnboundedIntegerVarError
+from aldual.errors import InfeasibleDomainError, UnboundedIntegerVarError
+from aldual.exactrho import rho_sufficient
 from aldual.instance import GenConfig, MiqpInstance, generate
 from aldual.numkit import RatMat, RatVec, parse_rat
 from aldual.penalty import L1, LINF, Penalty, SQL2, parse_penalty
+
+from conftest import d1_instance
+from corpus import pure_integer_corpus
 
 
 def _replace(inst, **kw):
@@ -406,3 +410,127 @@ def test_eval_without_dualized_rows_ignores_rho(spec):
     values = {eval_lr_plus(inst, RatVec([]), rho, pen).value for rho in (0, 1, 4)}
     assert len(values) == 1
     assert values == {solve_ip(inst).value}
+
+
+# ------------------------------------------- pure-integer slices as points
+
+_POINT_SPECS = ("linf", "l1", "slinf:3/2", "sql2")
+
+
+def _lp_route(slicer):
+    """Slice values by one exact LP/QP per box point, infeasible ones left out."""
+    values = {}
+    for x2 in integer_box(slicer.inst).assignments():
+        rep, const = slicer.solve(x2)
+        if rep.status != INFEASIBLE:
+            assert rep.status == OPTIMAL
+            values[x2] = rep.value + const
+    return values
+
+
+def _point_route(slicer):
+    values = {}
+    for x2, rep, value in slicer.scan():
+        assert rep is None and value is not None
+        assert slicer.lift(x2, rep) == RatVec(x2)
+        values[x2] = value
+    assert list(values) == sorted(values)
+    return values
+
+
+def _relax_slicers(inst, lam):
+    """eval_lr_plus's slicers at lam: rho 0 once, then each kind at rho 1, 4."""
+    chat = inst.c - inst.A.tmatvec(lam)
+    cases = [(parse_penalty("linf", inst.m), 0)] + [
+        (parse_penalty(spec, inst.m), rho)
+        for spec in _POINT_SPECS for rho in (1, 4)]
+    return [ald.penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b), pen,
+                                 Fraction(rho)) for pen, rho in cases]
+
+
+def _point_cases():
+    """d1, the pure-integer corpus and one instance without dualized rows."""
+    return [d1_instance()] + [inst for inst, _ in pure_integer_corpus()] + [
+        generate(GenConfig(0, 2, 0, 1, magnitude=2, seed=5))]
+
+
+@pytest.mark.parametrize("idx", range(len(_point_cases())))
+def test_point_slices_equal_lp_route(idx):
+    inst = _point_cases()[idx]
+    assert inst.n1 == 0
+    slicers = [ald._SliceSolver(inst, inst.Q, inst.c, Fraction(0), include_eq=True)]
+    for lam in (lambda_bar(inst).lambda_bar, RatVec.zeros(inst.m)):
+        slicers += _relax_slicers(inst, lam)
+    for slicer in slicers:
+        assert _point_route(slicer) == _lp_route(slicer)
+
+
+def test_point_slices_make_no_solver_calls(d1, solver_calls):
+    integer_box(d1)
+    lam = lambda_bar(d1).lambda_bar
+    solver_calls.update(lp=0, qp=0)
+    assert solve_ip(d1).value == 1
+    for spec in _POINT_SPECS:
+        pen = parse_penalty(spec, 1)
+        for rho in (0, 4):
+            eval_lr_plus(d1, lam, rho, pen)
+        rho_sufficient(d1, pen)
+    assert solver_calls == {"lp": 0, "qp": 0}
+
+
+def test_mixed_slices_take_one_solve_each(solver_calls):
+    inst = _mixed_instance()
+    assert inst.n1 > 0
+    size = integer_box(inst).size()
+    lam = lambda_bar(inst).lambda_bar
+    for spec in _POINT_SPECS:
+        for rho in (0, 4):
+            solver_calls.update(lp=0, qp=0)
+            eval_lr_plus(inst, lam, rho, parse_penalty(spec, inst.m))
+            assert solver_calls["lp"] + solver_calls["qp"] == size > 1
+
+
+def _no_variables(b, f):
+    """n1 = n2 = 0: one dualized row 0 = b and one row 0 <= f."""
+    return MiqpInstance(Q=RatMat([], cols=0), c=RatVec([]), A=RatMat([[]], cols=0),
+                        b=RatVec([b]), E=RatMat([[]], cols=0), f=RatVec([f]),
+                        n1=0, n2=0)
+
+
+def test_point_path_without_variables():
+    inst = _no_variables(0, 2)
+    rep = solve_ip(inst)
+    assert rep.status == OPTIMAL and rep.value == 0 and rep.x == RatVec([])
+    inst = _no_variables(1, 2)
+    assert solve_ip(inst).status == INFEASIBLE
+    relax = eval_lr_plus(inst, RatVec([2]), 3, Penalty(LINF, 1))
+    assert relax.value == 5 and relax.assignment == () and relax.violation == 1
+    for slicer in _relax_slicers(inst, RatVec([2])):
+        assert _point_route(slicer) == _lp_route(slicer) != {}
+    with pytest.raises(InfeasibleDomainError):
+        eval_lr_plus(_no_variables(1, -1), RatVec([0]), 1, Penalty(LINF, 1))
+
+
+def test_point_path_no_lattice_point():
+    # x1 + x2 = 1/2 as two inequalities: the box [-2, 3]^2 is not empty,
+    # but the set has no integer point
+    d1 = d1_instance()
+    rows = [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]]
+    half = Fraction(1, 2)
+    inst = _replace(d1, E=RatMat(rows), f=RatVec([3, 3, 3, 3, half, -half]))
+    assert integer_box(inst).size() == 36
+    assert solve_ip(inst).status == INFEASIBLE
+    for slicer in _relax_slicers(inst, RatVec([1])):
+        assert _point_route(slicer) == _lp_route(slicer) == {}
+    with pytest.raises(InfeasibleDomainError):
+        eval_lr_plus(inst, RatVec([1]), 1, Penalty(LINF, 1))
+
+
+def test_point_path_without_dualized_rows():
+    inst = _point_cases()[-1]
+    assert inst.m == 0
+    z_ip = solve_ip(inst).value
+    for spec in _POINT_SPECS:
+        for rho in (0, 1, 4):
+            assert eval_lr_plus(inst, RatVec([]), rho,
+                                parse_penalty(spec, 0)).value == z_ip

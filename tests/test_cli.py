@@ -302,3 +302,23 @@ def test_shape_errors_after_validation_are_internal(d1_path, error,
 def test_unreadable_instance_is_input_error(tmp_path, capsys):
     assert main(["check", "--instance", str(tmp_path)]) == 1
     assert "input error" in capsys.readouterr().err
+
+
+def test_instance_without_variables(tmp_path, capsys):
+    # n1 = n2 = 0: the integer box holds the one empty assignment
+    doc = {"n1": 0, "n2": 0, "Q": [], "c": [], "A": [[]], "b": ["0"],
+           "E": [[]], "f": ["2"]}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--instance", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] and out["z_ip"] == "0" and out["integer_box"]["lower"] == []
+    assert main(["solve", "--instance", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["argmin"] == [] and out["z_ip"] == out["z_nlp"] == "0"
+    assert main(["sweep", "--instance", str(path), "--penalty", "linf",
+                 "--rhos", "0,1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["0,0,,0,0,", "1,0,,0,0,0"]
+    assert main(["rho", "--instance", str(path), "--penalty", "linf",
+                 "--method", "sufficient"]) == 0
+    assert json.loads(capsys.readouterr().out)["rho_star"] == "0"
