@@ -34,7 +34,7 @@ from .errors import (
     UnboundedIntegerVarError,
 )
 from .instance import MiqpInstance
-from .numkit import RatMat, RatVec, ceil_rat, floor_rat, format_rat, rat
+from .numkit import RatMat, RatVec, ceil_rat, floor_rat, rat, to_wire
 
 _ZERO = Fraction(0)
 
@@ -458,27 +458,18 @@ SWEEP_CSV_HEADER = "rho,z_lr,z_ld,gap_lr,violation,kappa_rho"
 
 
 def _cell(value: Fraction | None, if_none: str = "") -> str:
-    return if_none if value is None else format_rat(value)
+    return if_none if value is None else to_wire(value)
 
 
 def sweep_row_csv(row: SweepRow) -> str:
-    z_lr = "-inf" if row.z_lr is None else format_rat(row.z_lr)
-    gap = "inf" if row.gap_lr is None else format_rat(row.gap_lr)
     return ",".join([
-        format_rat(row.rho), z_lr, _cell(row.z_ld), gap,
-        _cell(row.violation), _cell(row.kappa_rho),
+        _cell(row.rho), _cell(row.z_lr, "-inf"), _cell(row.z_ld),
+        _cell(row.gap_lr, "inf"), _cell(row.violation), _cell(row.kappa_rho),
     ])
 
 
 def sweep_row_json(row: SweepRow) -> dict:
-    return {
-        "rho": format_rat(row.rho),
-        "z_lr": None if row.z_lr is None else format_rat(row.z_lr),
-        "z_ld": None if row.z_ld is None else format_rat(row.z_ld),
-        "gap_lr": None if row.gap_lr is None else format_rat(row.gap_lr),
-        "violation": None if row.violation is None else format_rat(row.violation),
-        "kappa_rho": None if row.kappa_rho is None else format_rat(row.kappa_rho),
-    }
+    return to_wire(row)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .errors import (
     UnboundedIntegerVarError,
     UnsupportedKindError,
 )
-from .numkit import RatVec, format_rat, parse_rat, rat
+from .numkit import RatVec, parse_rat, to_wire
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -52,10 +52,6 @@ class UsageError(AldualError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; our contract is 1
         raise UsageError(message)
-
-
-def _fmt_vec(v) -> list[str]:
-    return [format_rat(a) for a in v]
 
 
 def parse_rho_schedule(spec: str) -> list[Fraction]:
@@ -123,11 +119,7 @@ def cmd_check(args) -> int:
     inst = inst_mod.read_instance(args.instance)
     violations = inst_mod.validate(inst)
     if violations:
-        doc = {"ok": False, "violations": [
-            {"code": v.code, "message": v.message,
-             "witness": _fmt_vec(v.witness) if v.witness is not None else None}
-            for v in violations]}
-        _emit(doc, args.out)
+        _emit({"ok": False, "violations": to_wire(violations)}, args.out)
         return EXIT_INPUT
     bound = check_boundedness(inst)
     if not bound.nlp_bounded:
@@ -144,14 +136,14 @@ def cmd_check(args) -> int:
         return EXIT_INFEASIBLE
     if ip.status == UNBOUNDED:
         _emit({"ok": False, "nlp_bounded": True, "ip_bounded": False,
-               "ray": _fmt_vec(ip.ray)}, args.out)
+               "ray": to_wire(ip.ray)}, args.out)
         return EXIT_ASSUMPTION
     doc = {
         "ok": True,
         "feasible": True,
         **bound.to_json_dict(),
-        "integer_box": {"lower": list(box.lower), "upper": list(box.upper)},
-        "z_ip": format_rat(ip.value),
+        "integer_box": to_wire(box),
+        "z_ip": to_wire(ip.value),
     }
     _emit(doc, args.out)
     return EXIT_OK
@@ -161,14 +153,14 @@ def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     bound = check_boundedness(inst)
     if not bound.nlp_bounded:
-        _emit({"status": "unbounded", "descent_ray": _fmt_vec(bound.ray)}, args.out)
+        _emit({"status": "unbounded", "descent_ray": to_wire(bound.ray)}, args.out)
         return EXIT_ASSUMPTION
     ip = ald.solve_ip(inst)
     if ip.status == INFEASIBLE:
         _emit({"status": "infeasible"}, args.out)
         return EXIT_INFEASIBLE
     if ip.status == UNBOUNDED:
-        _emit({"status": "unbounded", "ray": _fmt_vec(ip.ray)}, args.out)
+        _emit({"status": "unbounded", "ray": to_wire(ip.ray)}, args.out)
         return EXIT_ASSUMPTION
     duals = ald.lambda_bar(inst)
     pen = pen_mod.Penalty(pen_mod.LINF, inst.m)
@@ -176,12 +168,12 @@ def cmd_solve(args) -> int:
     gap0 = None if rep0.unbounded else ip.value - rep0.value
     doc = {
         "status": "optimal",
-        "z_ip": format_rat(ip.value),
-        "argmin": _fmt_vec(ip.x),
-        "z_nlp": format_rat(duals.z_nlp),
-        "lambda_bar": _fmt_vec(duals.lambda_bar),
-        "lambda_E": _fmt_vec(duals.lambda_E),
-        "classical_gap": "inf" if gap0 is None else format_rat(gap0),
+        "z_ip": to_wire(ip.value),
+        "argmin": to_wire(ip.x),
+        "z_nlp": to_wire(duals.z_nlp),
+        "lambda_bar": to_wire(duals.lambda_bar),
+        "lambda_E": to_wire(duals.lambda_E),
+        "classical_gap": "inf" if gap0 is None else to_wire(gap0),
     }
     _emit(doc, args.out)
     return EXIT_OK
@@ -223,6 +215,8 @@ def cmd_rho(args) -> int:
         args.penalty = method[len("norm:"):]
         method = "norm"
     pen = pen_mod.parse_penalty(args.penalty, inst.m)
+    if args.verify and not pen.is_norm:
+        raise UsageError("--verify needs a norm penalty (linf, l1 or slinf)")
     if method != "shift" and args.lam != "bar":
         raise UsageError(f"--lambda is read by method shift only; {method} "
                          "uses lambda_bar")
@@ -247,11 +241,9 @@ def cmd_rho(args) -> int:
     if args.verify:
         bound = exactrho.rho_bisect_empirical(
             inst, cert.lambda_used, pen, rho_max=max(cert.rho_star, Fraction(1)))
-        doc["empirical"] = {
-            "rho_min_upper": format_rat(bound.rho_min_upper),
-            "achieved": bound.achieved,
-            "dominates": cert.rho_star >= bound.rho_min_upper - Fraction(1, 1024),
-        }
+        lowest = bound.rho_min_upper - exactrho.EMPIRICAL_WIDTH
+        doc["empirical"] = {**to_wire(bound),
+                            "dominates": cert.rho_star >= lowest}
     _emit(doc, args.out)
     return EXIT_OK
 

@@ -33,12 +33,12 @@ from .numkit import (
     RatVec,
     UNIQUE,
     ceil_rat,
-    format_rat,
     independent_rows,
     ldl_psd_check,
     nullspace_basis,
     quad_form,
     solve_linear,
+    to_wire,
 )
 
 _ZERO = Fraction(0)
@@ -131,13 +131,9 @@ class BoundednessReport:
     def to_json_dict(self) -> dict:
         doc: dict = {"nlp_bounded": self.nlp_bounded}
         if self.farkas is not None:
-            doc["farkas"] = {
-                "lam_E": [format_rat(v) for v in self.farkas.lam_E],
-                "lam_A": [format_rat(v) for v in self.farkas.lam_A],
-                "lam_Q": [format_rat(v) for v in self.farkas.lam_Q],
-            }
+            doc["farkas"] = to_wire(self.farkas)
         if self.ray is not None:
-            doc["descent_ray"] = [format_rat(v) for v in self.ray]
+            doc["descent_ray"] = to_wire(self.ray)
         return doc
 
 

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedKindError,
 )
 from .instance import MiqpInstance
-from .numkit import RatMat, RatVec, ceil_rat, ceil_sqrt, format_rat, rat
+from .numkit import RatMat, RatVec, ceil_rat, ceil_sqrt, rat, to_wire
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -41,7 +41,7 @@ LAMBDA_SHIFT = "lambda-shift"
 EMPIRICAL = "empirical"
 
 _BISECTION_CAP = Fraction(2) ** 40
-_EMPIRICAL_WIDTH = Fraction(1, 1024)
+EMPIRICAL_WIDTH = Fraction(1, 1024)
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,9 @@ def _bit_size(value: Fraction) -> int:
 
 @dataclass(frozen=True)
 class RhoCertificate:
+    """A verified weight with its evidence; the field names of the
+    certificate and of every evidence class are its JSON keys."""
+
     rho_star: Fraction
     method: str
     lambda_used: RatVec
@@ -116,48 +119,7 @@ class RhoCertificate:
         return _bit_size(self.rho_star)
 
     def to_json_dict(self) -> dict:
-        ev: dict = {}
-        e = self.evidence
-        if isinstance(e, SufficientEvidence):
-            ev = {
-                "x_tilde": [format_rat(v) for v in e.x_tilde],
-                "delta": format_rat(e.delta),
-                "z_nlp": format_rat(e.z_nlp),
-            }
-        elif isinstance(e, DualLinfEvidence):
-            ev = {
-                "records": [
-                    {
-                        "assignment": list(r.assignment),
-                        "nu": [format_rat(v) for v in r.nu],
-                        "y1": [format_rat(v) for v in r.y1],
-                        "y2": [format_rat(v) for v in r.y2],
-                        "y3": [format_rat(v) for v in r.y3],
-                        "y4": [format_rat(v) for v in r.y4],
-                        "y5": [format_rat(v) for v in r.y5],
-                        "rho_x2": format_rat(r.rho_x2),
-                        "dual_value": format_rat(r.dual_value),
-                    }
-                    for r in e.records
-                ]
-            }
-        elif isinstance(e, NormConvertEvidence):
-            ev = {"gamma": e.gamma, "base_rho": format_rat(e.base_rho)}
-        elif isinstance(e, LambdaShiftEvidence):
-            ev = {
-                "eta": e.eta,
-                "norm_shift_bound": format_rat(e.norm_shift_bound),
-                "base_rho": format_rat(e.base_rho),
-            }
-        elif isinstance(e, EmpiricalEvidence):
-            ev = {"width": format_rat(e.width)}
-        return {
-            "rho_star": format_rat(self.rho_star),
-            "rho_star_bits": self.bit_size(),
-            "method": self.method,
-            "lambda_used": [format_rat(v) for v in self.lambda_used],
-            "evidence": ev,
-        }
+        return {**to_wire(self), "rho_star_bits": self.bit_size()}
 
 
 def certify(inst: MiqpInstance, lam: RatVec, rho, pen: pen_mod.Penalty,
@@ -386,9 +348,9 @@ def rho_bisect_empirical(inst: MiqpInstance, lam: RatVec,
                          pen: pen_mod.Penalty, rho_max) -> EmpiricalBound:
     """Bisection oracle for the minimal certifying weight (norm kinds).
 
-    Returns an upper bound within 2**-10 of the minimal weight at which the
-    relaxation value equals the integer optimum, or achieved=False when
-    even rho_max fails.
+    Returns an upper bound within EMPIRICAL_WIDTH (2**-10) of the minimal
+    weight at which the relaxation value equals the integer optimum, or
+    achieved=False when even rho_max fails.
     """
     if not pen.is_norm:
         raise UnsupportedKindError("empirical bisection needs a norm kind")
@@ -404,7 +366,7 @@ def rho_bisect_empirical(inst: MiqpInstance, lam: RatVec,
     if not hit(rho_max):
         return EmpiricalBound(rho_max, False)
     lo, hi = _ZERO, rho_max
-    while hi - lo > _EMPIRICAL_WIDTH:
+    while hi - lo > EMPIRICAL_WIDTH:
         mid = (lo + hi) / 2
         if hit(mid):
             hi = mid
@@ -419,4 +381,4 @@ def certificate_empirical(inst: MiqpInstance, lam: RatVec,
     if not bound.achieved:
         raise BisectionCapError(f"no certifying weight below {rho_max}")
     return _issue(inst, lam, bound.rho_min_upper, pen, EMPIRICAL,
-                  EmpiricalEvidence(_EMPIRICAL_WIDTH))
+                  EmpiricalEvidence(EMPIRICAL_WIDTH))

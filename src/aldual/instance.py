@@ -17,7 +17,7 @@ from fractions import Fraction
 from random import Random
 
 from .errors import ParseError, SchemaViolationError
-from .numkit import RatMat, RatVec, format_rat, ldl_psd_check, parse_rat, quad_form
+from .numkit import RatMat, RatVec, ldl_psd_check, parse_rat, quad_form, to_wire
 
 _ZERO = Fraction(0)
 
@@ -193,16 +193,7 @@ _SCHEMA_FIELDS = ("n1", "n2", "Q", "c", "A", "b", "E", "f")
 
 
 def to_json_dict(inst: MiqpInstance) -> dict:
-    return {
-        "n1": inst.n1,
-        "n2": inst.n2,
-        "Q": [[format_rat(v) for v in inst.Q.row(i)] for i in range(inst.Q.rows)],
-        "c": [format_rat(v) for v in inst.c],
-        "A": [[format_rat(v) for v in inst.A.row(i)] for i in range(inst.A.rows)],
-        "b": [format_rat(v) for v in inst.b],
-        "E": [[format_rat(v) for v in inst.E.row(i)] for i in range(inst.E.rows)],
-        "f": [format_rat(v) for v in inst.f],
-    }
+    return to_wire(inst)
 
 
 def _parse_vec(field: str, data) -> RatVec:

@@ -7,13 +7,16 @@ values are safe to share across threads.
 
 Serialization convention: a rational renders as ``"p/q"`` (or ``"p"`` when
 the denominator is 1), base 10, with an optional leading minus on the
-numerator only.
+numerator only.  :func:`to_wire` is the one renderer: every value in a JSON
+document or CSV cell the package writes goes through it, so vectors become
+lists, matrices lists of rows and report dataclasses objects keyed by their
+field names, while integers (counts, bounds, assignments) stay JSON integers.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Iterable, Sequence
@@ -60,6 +63,27 @@ def parse_rat(text: str) -> Fraction:
 def format_rat(value: Fraction) -> str:
     """Render a rational in the ``p/q`` wire format."""
     return str(Fraction(value))
+
+
+def to_wire(value):
+    """Render a value as a JSON-ready document in the wire format.
+
+    A Fraction becomes its ``p/q`` string, a RatMat a list of rows, a RatVec,
+    tuple or list a list, and a dataclass an object of its fields in
+    declaration order (attributes outside the fields are not rendered);
+    ints, bools, strings and None pass through unchanged.
+    """
+    if isinstance(value, Fraction):
+        return format_rat(value)
+    if isinstance(value, RatMat):
+        return [to_wire(row) for row in value.row_list()]
+    if isinstance(value, (RatVec, tuple, list)):
+        return [to_wire(v) for v in value]
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: to_wire(getattr(value, f.name)) for f in fields(value)}
+    if value is None or isinstance(value, (int, str)):
+        return value
+    raise TypeError(f"no wire format for {type(value).__name__}")
 
 
 def ceil_rat(value: Fraction) -> int:

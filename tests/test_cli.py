@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from aldual import ald
+from aldual import ald, exactrho
 from aldual.cli import main, parse_rho_schedule, UsageError
 from aldual.errors import (
     DimMismatchError,
@@ -162,6 +162,19 @@ def test_rho_verify_dominance(d1_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["empirical"]["achieved"] is True
     assert doc["empirical"]["dominates"] is True
+
+
+def test_rho_verify_needs_norm_penalty(d1_path, monkeypatch, capsys):
+    def no_solve(*args):
+        raise AssertionError("rho_sufficient ran before the usage check")
+
+    monkeypatch.setattr(exactrho, "rho_sufficient", no_solve)
+    # sql2 is the one kind that is not a norm
+    assert main(["rho", "--instance", d1_path, "--penalty", "sql2",
+                 "--method", "sufficient", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--verify" in captured.err
 
 
 def test_rho_method_penalty_mismatch(d1_path, capsys):

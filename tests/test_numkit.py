@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -23,6 +24,7 @@ from aldual.numkit import (
     quad_form,
     solve_linear,
     sqrt_upper,
+    to_wire,
 )
 
 
@@ -53,6 +55,62 @@ def test_format_round_trip():
         assert parse_rat(format_rat(q)) == q
     assert format_rat(Fraction(5, 1)) == "5"
     assert format_rat(Fraction(-7, 3)) == "-7/3"
+
+
+@dataclass(frozen=True)
+class _Inner:
+    weight: Fraction
+    count: int
+
+
+@dataclass(frozen=True)
+class _Outer:
+    z: RatVec
+    name: str
+    inner: _Inner
+    flag: bool
+    missing: object
+    a: tuple
+
+
+def test_to_wire_scalars():
+    assert to_wire(Fraction(-6, 4)) == "-3/2"
+    assert to_wire(Fraction(5)) == "5"
+    assert to_wire(7) == 7 and type(to_wire(7)) is int
+    assert to_wire(True) is True
+    assert to_wire(None) is None
+    assert to_wire("linf") == "linf"
+
+
+def test_to_wire_vectors_and_matrices():
+    assert to_wire(RatVec(["1/2", "-3", "0"])) == ["1/2", "-3", "0"]
+    assert to_wire(RatMat([[1, "1/3"], [0, -2]])) == [["1", "1/3"], ["0", "-2"]]
+    assert to_wire(RatMat.zeros(0, 3)) == []
+    assert to_wire(RatMat([[]])) == [[]]
+    assert to_wire((1, -2)) == [1, -2]
+    assert to_wire([Fraction(1, 2), None]) == ["1/2", None]
+
+
+def test_to_wire_dataclass_in_field_order():
+    value = _Outer(RatVec(["-1/4"]), "x", _Inner(Fraction(3, 8), 2), False,
+                   None, (RatVec([]), 0))
+    doc = to_wire(value)
+    assert list(doc) == ["z", "name", "inner", "flag", "missing", "a"]
+    assert doc == {"z": ["-1/4"], "name": "x",
+                   "inner": {"weight": "3/8", "count": 2}, "flag": False,
+                   "missing": None, "a": [[], 0]}
+    assert list(doc["inner"]) == ["weight", "count"]
+
+
+def test_to_wire_ignores_attributes_outside_the_fields():
+    value = _Inner(Fraction(1), 1)
+    object.__setattr__(value, "cached", Fraction(9))
+    assert to_wire(value) == {"weight": "1", "count": 1}
+
+
+def test_to_wire_rejects_unknown_types():
+    with pytest.raises(TypeError):
+        to_wire(1.5)
 
 
 def test_field_exactness():

@@ -1,7 +1,9 @@
 """Source-structure rules of the package, checked on the AST.
 
 No module imports an underscore-prefixed name from another aldual module,
-and every import sits at module level (none inside a function body).
+every import sits at module level (none inside a function body), and only
+``numkit`` calls ``format_rat``: every other module renders through
+``numkit.to_wire``, so the wire format is known in one place.
 """
 
 import ast
@@ -42,3 +44,13 @@ def test_no_import_inside_a_function(path):
                        for node in ast.walk(func)
                        if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "numkit"],
+                         ids=lambda p: p.name)
+def test_only_numkit_calls_format_rat(path):
+    calls = [f"line {node.lineno}" for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call)
+             and "format_rat" in (getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None))]
+    assert calls == []
