@@ -60,8 +60,11 @@ def parse_rho_schedule(spec: str) -> list[Fraction]:
         parts = spec.split(":")
         if len(parts) != 4:
             raise UsageError(f"bad geometric schedule {spec!r}")
-        start, factor = parse_rat(parts[1]), parse_rat(parts[2])
-        count = int(parts[3])
+        try:
+            start, factor = parse_rat(parts[1]), parse_rat(parts[2])
+            count = int(parts[3])
+        except ValueError as exc:
+            raise UsageError(f"bad geometric schedule {spec!r}: {exc}") from exc
         if count < 1 or start < 0 or factor <= 1:
             raise UsageError("geometric schedule needs count>=1, start>=0, factor>1")
         out = []

@@ -31,9 +31,7 @@ from .numkit import (
     INCONSISTENT,
     RatMat,
     RatVec,
-    UNIQUE,
     ceil_rat,
-    independent_rows,
     ldl_psd_check,
     nullspace_basis,
     quad_form,
@@ -332,10 +330,19 @@ def _verify_ray(cobj, eq_lhs, ineq_lhs, ray: RatVec, Qobj=None) -> None:
 def solve_qp(qp: QuadraticProgram) -> SolveReport:
     """Primal active-set method in exact arithmetic.
 
-    The working set is kept linearly independent together with a row basis
-    of the equality system, so multipliers at candidate optima are unique;
-    unboundedness is detected through a curvature-free descent direction in
-    the reduced space and certified by the returned ray.
+    Each iteration makes one solve_linear call on the working set's KKT
+    system
+
+        [[Q, C^T], [C, 0]] (d, w) = (-g, 0),   g = Q x + c,
+
+    where C stacks the equality rows and the working rows.  Working rows
+    stay linearly independent of the other rows of C; a dependent equality
+    row is a free column of the system, so its multiplier is 0 and the
+    others are unique.  A nonzero d is a step; at d = 0 the multipliers are
+    -w on the equality rows and w on the working rows.  An inconsistent
+    system has a kernel vector (u, v) with g.u != 0, Q u = 0 and C u = 0:
+    u, oriented downhill, is a curvature-free descent direction, returned
+    as the certifying ray when no inequality row blocks it.
     """
     n = len(qp.cobj)
     psd = ldl_psd_check(qp.Qobj)
@@ -348,91 +355,58 @@ def solve_qp(qp: QuadraticProgram) -> SolveReport:
         return SolveReport(status=INFEASIBLE)
     x = feas.x
 
-    keep = independent_rows(qp.eq_lhs)
-    eq_rows = [qp.eq_lhs.row(i) for i in keep]
+    Q_rows = qp.Qobj.row_list()
+    eq_rows = qp.eq_lhs.row_list()
     G = qp.ineq_lhs
+    G_rows = G.row_list()
     h = qp.ineq_rhs
-    m_in = G.rows
+    m_eq, m_in = len(eq_rows), G.rows
     working: list[int] = []
 
-    def active_matrix() -> RatMat:
-        rows = [list(r) for r in eq_rows] + [list(G.row(i)) for i in working]
-        return RatMat(rows, cols=n)
-
-    max_iters = 500 + 30 * (n + m_in + len(keep)) ** 2
+    max_iters = 500 + 30 * (n + m_in + m_eq) ** 2
     for _ in range(max_iters):
         g = qp.Qobj.matvec(x) + qp.cobj
-        C = active_matrix()
-        Z = nullspace_basis(C)
+        C = eq_rows + [G_rows[i] for i in working]
+        K = RatMat([Q_rows[j] + [row[j] for row in C] for j in range(n)]
+                   + [row + [_ZERO] * len(C) for row in C], cols=n + len(C))
+        sol = solve_linear(K, RatVec(list(-g) + [_ZERO] * len(C)))
+        if sol.status == INCONSISTENT:
+            d = next((z[:n] for z in nullspace_basis(K) if g.dot(z[:n]) != 0),
+                     None)
+            if d is None:
+                raise InternalInvariantError(
+                    "inconsistent KKT system without a kernel witness")
+            if g.dot(d) > 0:
+                d = -d
+            if not qp.Qobj.matvec(d).is_zero():
+                raise InternalInvariantError("recession direction has curvature")
+            cap = None
+        else:
+            d, cap = sol.x[:n], _ONE
 
-        direction = None
-        ray_dir = None
-        if Z:
-            Zm = RatMat([list(z) for z in Z], cols=n).transpose()  # n x z
-            H = Zm.transpose().matmul(qp.Qobj).matmul(Zm)
-            gz = Zm.tmatvec(g)
-            sol = solve_linear(H, -gz)
-            if sol.status == INCONSISTENT:
-                k = next((k for k in solve_linear(H, RatVec.zeros(H.rows)).nullspace
-                          if k.dot(gz) != 0), None)
-                if k is None:
-                    raise InternalInvariantError(
-                        "inconsistent reduced system without a kernel witness")
-                u = Zm.matvec(k)
-                if g.dot(u) > 0:
-                    u = -u
-                if not qp.Qobj.matvec(u).is_zero():
-                    raise InternalInvariantError("recession direction has curvature")
-                ray_dir = u
-            else:
-                d = Zm.matvec(sol.x)
-                if not d.is_zero():
-                    direction = d
-
-        if ray_dir is not None:
-            blocker, alpha = _ratio_test(G, h, x, ray_dir, working, cap=None)
-            if blocker is None:
-                report = SolveReport(status=UNBOUNDED, x=x, ray=ray_dir)
-                _verify_ray(qp.cobj, qp.eq_lhs, qp.ineq_lhs, ray_dir, qp.Qobj)
+        if not d.is_zero():
+            blocker, alpha = _ratio_test(G, h, x, d, working, cap)
+            if blocker is None and cap is None:
+                report = SolveReport(status=UNBOUNDED, x=x, ray=d)
+                _verify_ray(qp.cobj, qp.eq_lhs, qp.ineq_lhs, d, qp.Qobj)
                 return report
-            x = x + ray_dir.scale(alpha)
-            working = sorted(working + [blocker])
-            continue
-
-        if direction is not None:
-            blocker, alpha = _ratio_test(G, h, x, direction, working, cap=_ONE)
-            x = x + direction.scale(alpha)
+            x = x + d.scale(alpha)
             if blocker is not None:
                 working = sorted(working + [blocker])
             continue
 
         # d = 0: candidate optimum on the current active manifold
-        cols = [list(r) for r in eq_rows] + [list(-G.row(i)) for i in working]
-        Mt = RatMat(cols, cols=n).transpose() if cols else RatMat([], cols=0)
-        if cols:
-            msol = solve_linear(Mt, g)
-            if msol.status != UNIQUE:
-                raise InternalInvariantError("active-set multipliers not unique")
-            y = msol.x
-        else:
-            if not g.is_zero():
-                raise InternalInvariantError("zero direction with nonzero gradient")
-            y = RatVec([])
-        y_keep = list(y[: len(keep)])
-        y_work = list(y[len(keep):])
-        neg = next((wi for wi, i in enumerate(working) if y_work[wi] < 0), None)
+        y_work = sol.x[n + m_eq:]
+        neg = next((wi for wi, y in enumerate(y_work) if y < 0), None)
         if neg is not None:
             working.pop(neg)
             continue
 
-        eq_duals = [_ZERO] * qp.eq_lhs.rows
-        for idx, val in zip(keep, y_keep):
-            eq_duals[idx] = val
         ineq_duals = [_ZERO] * m_in
         for i, val in zip(working, y_work):
             ineq_duals[i] = val
         value = quad_form(qp.Qobj, x) / 2 + qp.cobj.dot(x)
-        report = SolveReport(OPTIMAL, value, x, RatVec(eq_duals),
+        report = SolveReport(OPTIMAL, value, x, -sol.x[n:n + m_eq],
                              RatVec(ineq_duals), None)
         _verify_kkt(qp.Qobj, qp.cobj, qp.eq_lhs, qp.eq_rhs, qp.ineq_lhs,
                     qp.ineq_rhs, report)

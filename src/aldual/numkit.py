@@ -141,10 +141,6 @@ class RatVec(Sequence):
     def unit(dim: int, i: int) -> "RatVec":
         return RatVec([_ONE if j == i else _ZERO for j in range(dim)])
 
-    @property
-    def dim(self) -> int:
-        return len(self._e)
-
     def __len__(self) -> int:
         return len(self._e)
 
@@ -453,21 +449,27 @@ class LinearSolveReport:
 
 
 def solve_linear(M: RatMat, v: RatVec) -> LinearSolveReport:
-    """Solve M x = v by fraction-free (Bareiss) Gaussian elimination."""
+    """Solve M x = v by fraction-free (Bareiss) Gaussian elimination.
+
+    Each row of [M | v] is scaled to integers and the elimination runs on
+    Python ints: every update ``(piv * a - factor * b) // prev`` is an exact
+    division by the previous pivot (Sylvester's identity), checked, so a
+    nonzero remainder raises InternalInvariantError.  Columns are taken in
+    order; a column without a pivot is free.  Back-substitution is in
+    Fractions.
+    """
     if M.rows != len(v):
         raise DimMismatchError(f"solve_linear: {M.rows} rows vs rhs dim {len(v)}")
     nr, nc = M.rows, M.cols
-    aug = [list(M.row(i)) + [v[i]] for i in range(nr)]
-    # scale rows to integers so the Bareiss updates stay division-exact
-    for row in aug:
+    aug = []
+    for row, vi in zip(M.row_list(), v):
+        row.append(vi)
         den = 1
         for a in row:
             den = lcm(den, a.denominator)
-        if den != 1:
-            for k in range(len(row)):
-                row[k] = row[k] * den
+        aug.append([a.numerator * (den // a.denominator) for a in row])
 
-    prev = _ONE
+    prev = 1
     pivot_cols: list[int] = []
     r = 0
     for c in range(nc):
@@ -475,11 +477,16 @@ def solve_linear(M: RatMat, v: RatVec) -> LinearSolveReport:
         if pr is None:
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
-        piv = aug[r][c]
+        prow = aug[r]
+        piv = prow[c]
         for i in range(r + 1, nr):
-            factor = aug[i][c]
+            row = aug[i]
+            factor = row[c]
             for j in range(c, nc + 1):
-                aug[i][j] = (piv * aug[i][j] - factor * aug[r][j]) / prev
+                q, rem = divmod(piv * row[j] - factor * prow[j], prev)
+                if rem:
+                    raise InternalInvariantError("inexact Bareiss division")
+                row[j] = q
         prev = piv
         pivot_cols.append(c)
         r += 1
@@ -491,13 +498,13 @@ def solve_linear(M: RatMat, v: RatVec) -> LinearSolveReport:
         if aug[i][nc] != 0:
             return LinearSolveReport(INCONSISTENT, None, rank, ())
 
-    def back_substitute(rhs_col: list[Fraction], free_assign: dict[int, Fraction]):
+    def back_substitute(rhs_col: list[int], free_assign: dict[int, Fraction]):
         x = [_ZERO] * nc
         for j, val in free_assign.items():
             x[j] = val
         for i in range(rank - 1, -1, -1):
             c = pivot_cols[i]
-            s = rhs_col[i]
+            s = Fraction(rhs_col[i])
             for j in range(c + 1, nc):
                 if aug[i][j] != 0 and x[j] != 0:
                     s -= aug[i][j] * x[j]
@@ -507,33 +514,13 @@ def solve_linear(M: RatMat, v: RatVec) -> LinearSolveReport:
     free_cols = [j for j in range(nc) if j not in pivot_cols]
     particular = RatVec(back_substitute([aug[i][nc] for i in range(rank)], {}))
     basis = []
-    zero_rhs = [_ZERO] * rank
+    zero_rhs = [0] * rank
     for fc in free_cols:
         basis.append(RatVec(back_substitute(zero_rhs, {fc: _ONE})))
     status = UNIQUE if not free_cols else UNDERDETERMINED
     return LinearSolveReport(status, particular, rank, tuple(basis))
 
 
-def independent_rows(M: RatMat) -> list[int]:
-    """Indices of a row basis of M, chosen greedily in row order."""
-    basis: list[tuple[list[Fraction], int]] = []  # (reduced row, pivot col)
-    keep: list[int] = []
-    for i in range(M.rows):
-        row = list(M.row(i))
-        for reduced, pc in basis:
-            if row[pc] != 0:
-                factor = row[pc] / reduced[pc]
-                for j in range(len(row)):
-                    row[j] -= factor * reduced[j]
-        pc = next((j for j, a in enumerate(row) if a != 0), None)
-        if pc is not None:
-            basis.append((row, pc))
-            keep.append(i)
-    return keep
-
-
 def nullspace_basis(M: RatMat) -> tuple[RatVec, ...]:
-    """Basis of ker(M); the identity basis when M has no rows."""
-    if M.rows == 0:
-        return tuple(RatVec.unit(M.cols, j) for j in range(M.cols))
+    """Basis of ker(M), one vector per free column of the elimination."""
     return solve_linear(M, RatVec.zeros(M.rows)).nullspace

@@ -51,6 +51,17 @@ def test_rho_schedule_parsing():
         parse_rho_schedule("")
 
 
+@pytest.mark.parametrize("spec", ["geom:1:2:x", "geom:a:2:3", "geom:1:2/0:3",
+                                  "geom:1:2:", "1,x"])
+def test_malformed_rho_schedule_is_usage_error(spec, d1_path, capsys):
+    with pytest.raises(UsageError):
+        parse_rho_schedule(spec)
+    assert main(["sweep", "--instance", d1_path, "--penalty", "linf",
+                 "--rhos", spec]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: ")
+
+
 def test_check_d1(d1_path, capsys):
     assert main(["check", "--instance", d1_path]) == 0
     doc = json.loads(capsys.readouterr().out)

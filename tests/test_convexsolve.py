@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from aldual import convexsolve
 from aldual.convexsolve import (
     INFEASIBLE,
     LinearProgram,
@@ -143,12 +144,33 @@ def test_qp_infeasible():
     assert rep.status == INFEASIBLE
 
 
-def test_qp_unbounded_flat_direction():
+def _flat_ray_qp():
     # zero curvature along the descent direction, no blocking rows
-    rep = solve_qp(QuadraticProgram(RatMat([[0]]), RatVec([-1]),
-                                    *_no_rows(1), RatMat([[-1]]), RatVec([0])))
+    return QuadraticProgram(RatMat([[0]]), RatVec([-1]),
+                            *_no_rows(1), RatMat([[-1]]), RatVec([0]))
+
+
+def test_qp_unbounded_flat_direction():
+    rep = solve_qp(_flat_ray_qp())
     assert rep.status == UNBOUNDED
     assert rep.ray is not None and rep.ray[0] > 0
+
+
+def test_qp_kernel_basis_only_on_ray_steps(monkeypatch):
+    # each active-set step is one KKT solve; a kernel basis is computed
+    # only when that system is inconsistent, for a zero-curvature ray
+    calls = []
+    basis = convexsolve.nullspace_basis
+
+    def counted(M):
+        calls.append(M)
+        return basis(M)
+
+    monkeypatch.setattr(convexsolve, "nullspace_basis", counted)
+    assert solve_qp(relaxation_program(d1_instance())).status == OPTIMAL
+    assert calls == []
+    assert solve_qp(_flat_ray_qp()).status == UNBOUNDED
+    assert len(calls) == 1
 
 
 def test_qp_positive_definite_matches_newton_solve():

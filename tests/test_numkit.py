@@ -303,30 +303,47 @@ def test_solve_dim_mismatch():
 
 def test_solve_random_nonsingular():
     rng = Random(6)
-    done = 0
-    while done < 25:
+    cases = [
+        # rows with mixed denominators, each scaled to integers differently
+        (RatMat([["1/3", "1/2", 0], ["5/6", "-1/4", "2/7"], [1, "1/9", "-3/5"]]),
+         RatVec(["1/5", "-7/2", "4/3"])),
+        (RatMat([], cols=0), RatVec([])),  # 0 x 0
+    ]
+    while len(cases) < 27:
         n = rng.randint(1, 5)
         M = RatMat([[rand_rat(rng, 4) for _ in range(n)] for _ in range(n)])
         if _det(M) == 0:
             continue
-        v = RatVec([rand_rat(rng, 4) for _ in range(n)])
+        cases.append((M, RatVec([rand_rat(rng, 4) for _ in range(n)])))
+    for M, v in cases:
         rep = solve_linear(M, v)
-        assert rep.status == UNIQUE and rep.rank == n
+        assert rep.status == UNIQUE and rep.rank == M.rows
         assert M.matvec(rep.x) == v
-        done += 1
 
 
 def test_solve_singular_consistent_parametrization():
     rng = Random(7)
+    cases = []
     for _ in range(25):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         M = RatMat([[rand_rat(rng, 3) for _ in range(cols)] for _ in range(rows)])
-        x_true = RatVec([rand_rat(rng, 3) for _ in range(cols)])
+        cases.append((M, RatVec([rand_rat(rng, 3) for _ in range(cols)])))
+    cases += [
+        # column 1 has no pivot after the first step, so the next update
+        # divides by the first pivot 2 exactly: (-10 * -2 + 22 * 6) / 2
+        (RatMat([[2, 1, 4, 1], [4, 2, 3, 5], [6, 3, 1, 2]]), RatVec([1, -1, 2, 0])),
+        # mixed denominators with a dependent row (row 2 = 3 * row 0)
+        (RatMat([["1/2", "2/3", 1], ["-1/4", 0, "5/6"], ["3/2", 2, 3]]),
+         RatVec(["1/3", "-2", "7/5"])),
+        (RatMat([], cols=3), RatVec([1, 2, 3])),  # 0 rows
+        (RatMat([[], []]), RatVec([])),  # 0 columns
+    ]
+    for M, x_true in cases:
         v = M.matvec(x_true)  # consistent by construction
         rep = solve_linear(M, v)
         assert rep.status in (UNIQUE, UNDERDETERMINED)
         assert M.matvec(rep.x) == v
         for z in rep.nullspace:
-            assert M.matvec(z) == RatVec([0] * rows)
+            assert M.matvec(z) == RatVec([0] * M.rows)
             assert M.matvec(rep.x + z) == v
-        assert rep.rank + len(rep.nullspace) == cols
+        assert rep.rank + len(rep.nullspace) == M.cols

@@ -1,0 +1,156 @@
+"""Exact pins of ``solve_qp`` reports: status, value, x, both duals and ray.
+
+Three groups of QPs are solved and their whole ``SolveReport`` compared with
+the one recorded in ``tests/qp_pins.json``:
+
+* seeded random QPs, some with a singular objective, a duplicated equality
+  row or an unbounded objective;
+* the continuous relaxation of every grid-corpus instance;
+* the slice QPs ``eval_lr_plus`` solves at ``lambda_bar`` with rho = 1 for
+  linf, l1 and sql2 on two mixed grid instances, where the multipliers of
+  degenerate slices are otherwise unpinned (the goldens see only
+  pure-integer slices).
+
+Each pin also holds a digest of the QP, so a change in how a QP is built
+shows as a changed digest rather than as a changed report.  To record the
+pins again, only when a change alters the reports on purpose and says so::
+
+    PYTHONPATH=src python tests/test_qp_pins.py
+"""
+
+import hashlib
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+from random import Random
+
+import pytest
+
+from aldual import ald
+from aldual.convexsolve import QuadraticProgram, solve_qp
+from aldual.instance import GenConfig, generate
+from aldual.numkit import RatMat, RatVec, solve_linear, to_wire
+from aldual.penalty import parse_penalty
+
+from corpus import GRID_SHAPES, grid_corpus
+
+PINS = Path(__file__).resolve().parent / "qp_pins.json"
+
+RANDOM_COUNT = 300
+# grid shapes whose slice QPs are pinned: m = 2 with an E2 row
+SLICE_SHAPES = [(2, 2, 2, 1, 2, 1100), (3, 1, 2, 1, 2, 1900)]
+SLICE_KINDS = ("linf", "l1", "sql2")
+
+
+def _rand_rat(rng, mag):
+    den = rng.choice((1, 2, 4))
+    return Fraction(rng.randint(-mag * den, mag * den), den)
+
+
+def random_qp(seed: int) -> QuadraticProgram:
+    """A feasible QP; Q = L^T L has rank k <= n, so it is often singular.
+
+    About one in six QPs repeats its first equality row, and about one in
+    five has at most two inequality rows and a rank-deficient Q, so that
+    some are unbounded.
+    """
+    rng = Random(seed)
+    n = rng.randint(1, 4)
+    m_eq = rng.randint(0, 2)
+    loose = rng.random() < 0.2
+    m_in = rng.randint(0, 2) if loose else rng.randint(1, 5)
+    k = rng.randint(0, n - 1) if loose else rng.randint(0, n)
+    L = RatMat([[_rand_rat(rng, 2) for _ in range(n)] for _ in range(k)], cols=n)
+    Q = L.transpose().matmul(L)
+    x0 = RatVec([_rand_rat(rng, 3) for _ in range(n)])
+    eq = [[_rand_rat(rng, 2) for _ in range(n)] for _ in range(m_eq)]
+    if eq and rng.random() < 0.25:
+        eq.append(list(eq[0]))
+    A = RatMat(eq, cols=n)
+    G = RatMat([[_rand_rat(rng, 2) for _ in range(n)] for _ in range(m_in)],
+               cols=n)
+    slack = [abs(_rand_rat(rng, 2)) if rng.random() < 0.7 else Fraction(0)
+             for _ in range(m_in)]
+    c = RatVec([_rand_rat(rng, 3) for _ in range(n)])
+    return QuadraticProgram(Q, c, A, A.matvec(x0), G,
+                            RatVec(g + s for g, s in zip(G.matvec(x0), slack)))
+
+
+def _pin(qp: QuadraticProgram, report=None) -> dict:
+    text = json.dumps(to_wire(qp), sort_keys=True)
+    return {"qp": hashlib.sha256(text.encode()).hexdigest()[:16],
+            "report": to_wire(report or solve_qp(qp))}
+
+
+def random_pins() -> dict:
+    return {f"random {seed}": _pin(random_qp(seed))
+            for seed in range(RANDOM_COUNT)}
+
+
+def relaxation_pins() -> dict:
+    return {f"relaxation {shape}": _pin(ald.relaxation_program(inst))
+            for shape, inst in zip(GRID_SHAPES, grid_corpus())}
+
+
+def slice_pins() -> dict:
+    """Slice QPs of eval_lr_plus at lambda_bar, rho = 1, in solve order."""
+    pins = {}
+    solve = ald.solve_qp
+    for shape in SLICE_SHAPES:
+        n1, n2, m, m2, mag, seed = shape
+        inst = generate(GenConfig(n1, n2, m, m2, magnitude=mag, seed=seed))
+        lam = ald.lambda_bar(inst).lambda_bar
+        first = len(pins)
+        for kind in SLICE_KINDS:
+            def record(qp):
+                report = solve(qp)
+                pins[f"slice {shape} {kind} #{len(pins) - first}"] = _pin(qp, report)
+                return report
+
+            ald.solve_qp = record
+            try:
+                ald.eval_lr_plus(inst, lam, 1, parse_penalty(kind, inst.m))
+            finally:
+                ald.solve_qp = solve
+    return pins
+
+
+GROUPS = {"random": random_pins, "relaxation": relaxation_pins,
+          "slice": slice_pins}
+
+
+def _pins(group: str) -> dict:
+    doc = json.loads(PINS.read_text(encoding="utf-8"))
+    return {k: v for k, v in doc.items() if k.startswith(group + " ")}
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_reports_match_pins(group):
+    got, want = GROUPS[group](), _pins(group)
+    assert sorted(got) == sorted(want)
+    wrong = [name for name in want if got[name] != want[name]]
+    assert not wrong, f"{len(wrong)} reports differ, first {wrong[:3]}"
+
+
+def test_random_pins_cover_the_hard_cases():
+    pins = _pins("random")
+    statuses = [p["report"]["status"] for p in pins.values()]
+    assert statuses.count("unbounded") >= 10
+    assert statuses.count("optimal") >= 200
+    qps = [random_qp(seed) for seed in range(RANDOM_COUNT)]
+    singular = [qp for qp in qps
+                if solve_linear(qp.Qobj, RatVec.zeros(qp.Qobj.rows)).nullspace]
+    assert len(singular) >= 100
+    repeated = [qp for qp in qps if qp.eq_lhs.rows >= 2
+                and qp.eq_lhs.row(0) == qp.eq_lhs.row(qp.eq_lhs.rows - 1)]
+    assert len(repeated) >= 20
+
+
+if __name__ == "__main__":
+    recorded = {}
+    for make in GROUPS.values():
+        recorded.update(make())
+    PINS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    print(f"recorded {len(recorded)} pins in {PINS}", file=sys.stderr)
