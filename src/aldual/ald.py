@@ -5,6 +5,9 @@ linear set (computed by LP), so the ground-truth mixed integer value and
 every penalized relaxation value are exact minima over finitely many
 convex subproblems.  Without continuous variables (n1 = 0) each
 subproblem is a single point, evaluated in closed form with no solver.
+Otherwise a slice's feasible set E1 x1 <= f - E2 x2 does not depend on
+the objective, so one LP per slice and instance finds a feasible point of
+it (or shows it empty), and the relaxations' QP slices start there.
 """
 
 from __future__ import annotations
@@ -138,6 +141,21 @@ def _lattice_points(inst: MiqpInstance) -> tuple:
     return tuple(table)
 
 
+@_per_instance
+def _slice_starts(inst: MiqpInstance) -> tuple:
+    """``(x2, x1)`` for each point of the integer box in lexicographic
+    order: x1 is a feasible point of the slice E1 x1 <= f - E2 x2 (one
+    zero-objective LP), or None when the slice is empty."""
+    E1, E2 = inst.split_cols(inst.E)
+    zero, no_rows = RatVec.zeros(inst.n1), RatMat([], cols=inst.n1)
+    table = []
+    for x2 in integer_box(inst).assignments():
+        rep = solve_lp(LinearProgram(zero, no_rows, RatVec([]), E1,
+                                     inst.f - E2.matvec(RatVec(x2))))
+        table.append((x2, None if rep.status == INFEASIBLE else rep.x))
+    return tuple(table)
+
+
 class _SliceSolver:
     """Per-assignment continuous subproblems for a fixed objective shape.
 
@@ -147,7 +165,9 @@ class _SliceSolver:
     leaves each constraint matrix unchanged and moves only the right-hand
     sides and the objective, exactly.  Without continuous variables a
     slice is the point x2 itself: ``scan`` evaluates it in closed form
-    (w at its minimum is the penalty of the residual).
+    (w at its minimum is the penalty of the residual).  A QP slice without
+    the A rows starts warm from the instance's ``_slice_starts`` table;
+    LP slices and ``solve_ip``'s slices (``include_eq``) run phase 1.
     """
 
     def __init__(self, inst: MiqpInstance, Qfull: RatMat, cfull: RatVec,
@@ -197,8 +217,13 @@ class _SliceSolver:
         """The objective's x2-only terms: const + c2.x2 + 1/2 x2^T Q22 x2."""
         return self.const + self.c2.dot(x2v) + x2v.dot(self.Q22.matvec(x2v)) / 2
 
-    def solve(self, x2: tuple[int, ...]) -> tuple[SolveReport, Fraction]:
-        """Returns the block report and the x2-dependent constant term."""
+    def solve(self, x2: tuple[int, ...],
+              x1: RatVec | None = None) -> tuple[SolveReport, Fraction]:
+        """Returns the block report and the x2-dependent constant term.
+
+        ``x1``, a point of the slice's rows E1 x1 <= f - E2 x2, starts a QP
+        slice there, its auxiliaries set by ``penalty.epigraph_start``; an
+        LP slice does not use it."""
         x2v = RatVec(x2)
         lin = RatVec(list(self.c1 + self.Q12.matvec(x2v)) + self.aux_cost)
         ineq_rhs = self.ineq_base - self.ineq_x2.matvec(x2v)
@@ -207,8 +232,12 @@ class _SliceSolver:
             rep = solve_lp(LinearProgram(lin, self.eq_mat, eq_rhs,
                                          self.ineq_mat, ineq_rhs))
         else:
+            start = x1
+            if x1 is not None and self.pen is not None:
+                resid = self.inst.b - self.inst.A.matvec(RatVec(list(x1) + list(x2)))
+                start = RatVec(list(x1) + list(pen_mod.epigraph_start(self.pen, resid)))
             rep = solve_qp(QuadraticProgram(self.Qsub, lin, self.eq_mat, eq_rhs,
-                                            self.ineq_mat, ineq_rhs))
+                                            self.ineq_mat, ineq_rhs), start)
         return rep, self._fixed_part(x2v)
 
     def scan(self):
@@ -217,7 +246,9 @@ class _SliceSolver:
         Yields ``(x2, report, value)`` where ``value`` is the slice minimum,
         or None when the slice is unbounded below; infeasible slices are
         skipped.  ``report`` is the slice's solver report, or None for a
-        point slice (n1 = 0), whose value is computed directly.
+        point slice (n1 = 0), whose value is computed directly.  Warm QP
+        slices come from ``_slice_starts``: an empty slice is skipped with
+        no solve, and each other one starts at its stored point.
         """
         if self.inst.n1 == 0:
             for x2, x2v, resid in _lattice_points(self.inst):
@@ -228,8 +259,12 @@ class _SliceSolver:
                     value += self.w_weight * pen_mod.evaluate(self.pen, resid)
                 yield x2, None, value
             return
-        for x2 in integer_box(self.inst).assignments():
-            rep, const = self.solve(x2)
+        if self.quad_free or self.include_eq:
+            slices = ((x2, None) for x2 in integer_box(self.inst).assignments())
+        else:
+            slices = (s for s in _slice_starts(self.inst) if s[1] is not None)
+        for x2, x1 in slices:
+            rep, const = self.solve(x2, x1)
             if rep.status == INFEASIBLE:
                 continue
             yield x2, rep, (None if rep.status == UNBOUNDED else rep.value + const)

@@ -327,8 +327,14 @@ def _verify_ray(cobj, eq_lhs, ineq_lhs, ray: RatVec, Qobj=None) -> None:
         raise InternalInvariantError("ray does not decrease the objective")
 
 
-def solve_qp(qp: QuadraticProgram) -> SolveReport:
+def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None) -> SolveReport:
     """Primal active-set method in exact arithmetic.
+
+    The method starts at ``x0`` when it is given and at the point of a
+    phase-1 LP otherwise.  A start is checked, never trusted: a wrong
+    length raises DimMismatchError, and a point off the equality rows or
+    outside an inequality row raises InternalInvariantError.  The working
+    set starts empty either way.
 
     Each iteration makes one solve_linear call on the working set's KKT
     system
@@ -349,11 +355,15 @@ def solve_qp(qp: QuadraticProgram) -> SolveReport:
     if not psd.is_psd:
         raise NotPsdError("objective matrix is not PSD", witness=psd.witness)
 
-    feas = solve_lp(LinearProgram(RatVec.zeros(n), qp.eq_lhs, qp.eq_rhs,
-                                  qp.ineq_lhs, qp.ineq_rhs))
-    if feas.status == INFEASIBLE:
-        return SolveReport(status=INFEASIBLE)
-    x = feas.x
+    if x0 is None:
+        feas = solve_lp(LinearProgram(RatVec.zeros(n), qp.eq_lhs, qp.eq_rhs,
+                                      qp.ineq_lhs, qp.ineq_rhs))
+        if feas.status == INFEASIBLE:
+            return SolveReport(status=INFEASIBLE)
+        x = feas.x
+    else:
+        _check_start(qp, x0)
+        x = x0
 
     Q_rows = qp.Qobj.row_list()
     eq_rows = qp.eq_lhs.row_list()
@@ -412,6 +422,17 @@ def solve_qp(qp: QuadraticProgram) -> SolveReport:
                     qp.ineq_rhs, report)
         return report
     raise InternalInvariantError("active-set iteration cap exceeded")
+
+
+def _check_start(qp: QuadraticProgram, x0: RatVec) -> None:
+    if len(x0) != len(qp.cobj):
+        raise DimMismatchError(f"start point of length {len(x0)} vs "
+                               f"{len(qp.cobj)} variables")
+    if qp.eq_lhs.rows and qp.eq_lhs.matvec(x0) != qp.eq_rhs:
+        raise InternalInvariantError("start point violates an equality row")
+    if qp.ineq_lhs.rows and any(
+            a > r for a, r in zip(qp.ineq_lhs.matvec(x0), qp.ineq_rhs)):
+        raise InternalInvariantError("start point violates an inequality row")
 
 
 def _ratio_test(G: RatMat, h: RatVec, x: RatVec, d: RatVec,

@@ -175,6 +175,18 @@ def epigraph_rows(p: Penalty, A: RatMat, b: RatVec) -> EpigraphEncoding:
     )
 
 
+def epigraph_start(p: Penalty, r: RatVec) -> RatVec:
+    """Auxiliary values that complete a point x with residual r = b - Ax to
+    a feasible point (x, aux) of ``epigraph_rows``: t_i = |r_i| for l1,
+    then w = psi(r), its least feasible value."""
+    if p.kind == SQL2:
+        raise UnsupportedKindError("sql2 has no polyhedral epigraph")
+    w = evaluate(p, r)
+    if p.kind == L1:
+        return RatVec([abs(v) for v in r] + [w])
+    return RatVec([w])
+
+
 @dataclass(frozen=True)
 class NormEquivConstants:
     """Integer constants tying a norm penalty to the max and Euclidean norms.

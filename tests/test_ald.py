@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from aldual import ald
+from aldual import ald, convexsolve
 from aldual.ald import (
     SWEEP_CSV_HEADER,
     dual_ascent,
@@ -22,7 +22,7 @@ from aldual.errors import InfeasibleDomainError, UnboundedIntegerVarError
 from aldual.exactrho import rho_sufficient
 from aldual.instance import GenConfig, MiqpInstance, generate
 from aldual.numkit import RatMat, RatVec, parse_rat
-from aldual.penalty import L1, LINF, Penalty, SQL2, parse_penalty
+from aldual.penalty import L1, LINF, Penalty, SQL2, evaluate, parse_penalty
 
 from conftest import d1_instance
 from corpus import pure_integer_corpus
@@ -353,7 +353,8 @@ def test_weak_duality_chain_small_instances():
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Counts the LP and QP solves made through aldual.ald."""
+    """Counts the LP and QP solves made through aldual.ald, the phase-1 LP
+    inside solve_qp included."""
     calls = {"lp": 0, "qp": 0}
 
     def counting(key, fn):
@@ -363,6 +364,8 @@ def solver_calls(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(ald, "solve_lp", counting("lp", ald.solve_lp))
+    monkeypatch.setattr(convexsolve, "solve_lp",
+                        counting("lp", convexsolve.solve_lp))
     monkeypatch.setattr(ald, "solve_qp", counting("qp", ald.solve_qp))
     return calls
 
@@ -479,15 +482,68 @@ def test_point_slices_make_no_solver_calls(d1, solver_calls):
 
 
 def test_mixed_slices_take_one_solve_each(solver_calls):
+    # the first evaluation builds the slice table, one LP per slice; every
+    # evaluation then solves one QP per slice, started warm: no phase 1
     inst = _mixed_instance()
     assert inst.n1 > 0
     size = integer_box(inst).size()
+    assert size > 1
     lam = lambda_bar(inst).lambda_bar
+    table_lps = size
     for spec in _POINT_SPECS:
         for rho in (0, 4):
             solver_calls.update(lp=0, qp=0)
             eval_lr_plus(inst, lam, rho, parse_penalty(spec, inst.m))
-            assert solver_calls["lp"] + solver_calls["qp"] == size > 1
+            assert solver_calls == {"lp": table_lps, "qp": size}
+            table_lps = 0
+
+
+def _coupled_instance():
+    """n1 = 1, n2 = 2 under x1 >= 0, 0 <= y <= 2 and the coupling row
+    x1 + y1 + y2 <= 2: the box is [0, 2]^2, but the slices with
+    y1 + y2 > 2 are empty."""
+    return MiqpInstance(
+        Q=RatMat([[2, 1, 0], [1, 1, 0], [0, 0, 1]]), c=RatVec([-1, 1, -1]),
+        A=RatMat([[1, -1, 1]]), b=RatVec([1]),
+        E=RatMat([[-1, 0, 0], [1, 1, 1], [0, -1, 0], [0, 0, -1], [0, 1, 0],
+                  [0, 0, 1]]),
+        f=RatVec([0, 2, 0, 0, 2, 2]), n1=1, n2=2)
+
+
+def _cold_route(slicer, pen):
+    """eval_lr_plus's value, argmin and violation from one cold solve per
+    box point, and the points whose slice is infeasible."""
+    inst, best, empty = slicer.inst, None, []
+    for x2 in integer_box(inst).assignments():
+        rep, const = slicer.solve(x2)
+        if rep.status == INFEASIBLE:
+            empty.append(x2)
+            continue
+        assert rep.status == OPTIMAL
+        if best is None or rep.value + const < best[0]:
+            best = (rep.value + const, slicer.lift(x2, rep))
+    value, x = best
+    return (value, x, evaluate(pen, inst.b - inst.A.matvec(x))), empty
+
+
+def test_empty_slices_take_no_solve(solver_calls):
+    inst = _coupled_instance()
+    starts = ald._slice_starts(inst)
+    assert [x2 for x2, _ in starts] == list(integer_box(inst).assignments())
+    empty = [x2 for x2, x1 in starts if x1 is None]
+    assert empty == [(1, 2), (2, 1), (2, 2)]
+    lam = lambda_bar(inst).lambda_bar
+    chat = inst.c - inst.A.tmatvec(lam)
+    for spec in _POINT_SPECS:
+        pen = parse_penalty(spec, inst.m)
+        for rho in (0, 1, 4):
+            solver_calls.update(lp=0, qp=0)
+            got = eval_lr_plus(inst, lam, rho, pen)
+            assert solver_calls == {"lp": 0, "qp": len(starts) - len(empty)}
+            slicer = ald.penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b),
+                                          pen, Fraction(rho))
+            assert _cold_route(slicer, pen) == (
+                (got.value, got.argmin_x, got.violation), empty)
 
 
 def _no_variables(b, f):

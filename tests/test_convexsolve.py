@@ -15,7 +15,7 @@ from aldual.convexsolve import (
     solve_qp,
 )
 from aldual.ald import relaxation_program
-from aldual.errors import NotPsdError
+from aldual.errors import DimMismatchError, InternalInvariantError, NotPsdError
 from aldual.instance import MiqpInstance
 from aldual.numkit import RatMat, RatVec, quad_form, solve_linear
 
@@ -142,6 +142,36 @@ def test_qp_infeasible():
     rep = solve_qp(QuadraticProgram(RatMat([[1]]), RatVec([0]), *_no_rows(1),
                                     RatMat([[1], [-1]]), RatVec([-1, 0])))
     assert rep.status == INFEASIBLE
+
+
+def _simplex_qp():
+    # min 1/2 |x|^2 - x1 - x2  s.t.  x1 + x2 = 1, x1 <= 3/4, -x2 <= 0
+    return QuadraticProgram(RatMat([[1, 0], [0, 1]]), RatVec([-1, -1]),
+                            RatMat([[1, 1]]), RatVec([1]),
+                            RatMat([[1, 0], [0, -1]]), RatVec([Fraction(3, 4), 0]))
+
+
+def test_qp_start_point_replaces_phase_one(monkeypatch):
+    qp = _simplex_qp()
+    cold = solve_qp(qp)
+    lp_calls = []
+    monkeypatch.setattr(convexsolve, "solve_lp",
+                        lambda *args: lp_calls.append(args) or solve_lp(*args))
+    warm = solve_qp(qp, RatVec([Fraction(3, 4), Fraction(1, 4)]))
+    assert lp_calls == []
+    assert warm == cold
+    assert warm.x == RatVec([Fraction(1, 2), Fraction(1, 2)])
+    assert warm.value == Fraction(-3, 4)
+
+
+@pytest.mark.parametrize("start, error, match", [
+    ([1, 0], InternalInvariantError, "inequality"),
+    ([Fraction(1, 2), 0], InternalInvariantError, "equality"),
+    ([Fraction(1, 2)], DimMismatchError, "length"),
+])
+def test_qp_bad_start_point_rejected(start, error, match):
+    with pytest.raises(error, match=match):
+        solve_qp(_simplex_qp(), RatVec(start))
 
 
 def _flat_ray_qp():

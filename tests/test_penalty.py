@@ -13,6 +13,7 @@ from aldual.penalty import (
     SCALED_LINF,
     SQL2,
     epigraph_rows,
+    epigraph_start,
     evaluate,
     level_diam,
     norm_constants,
@@ -157,6 +158,26 @@ def test_epigraph_minimal_w_matches_evaluate():
         x = RatVec([rand_rat(rng, 2) for _ in range(n)])
         for p in norm_kinds(m):
             assert _min_w_at_point(p, A, b, x) == evaluate(p, b - A.matvec(x))
+
+
+def test_epigraph_start_is_feasible_with_least_w():
+    rng = Random(24)
+    for _ in range(20):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        A = RatMat([[rand_rat(rng, 2) for _ in range(n)] for _ in range(m)], cols=n)
+        b = RatVec([rand_rat(rng, 2) for _ in range(m)])
+        x = RatVec([rand_rat(rng, 2) for _ in range(n)])
+        r = b - A.matvec(x)
+        for p in norm_kinds(m):
+            enc = epigraph_rows(p, A, b)
+            aux = epigraph_start(p, r)
+            point = RatVec(list(x) + list(aux))
+            assert len(aux) == enc.n_aux and aux[-1] == evaluate(p, r)
+            assert all(v <= h for v, h in zip(enc.ineq_lhs.matvec(point),
+                                              enc.ineq_rhs))
+            assert enc.eq_lhs.rows == 0 or enc.eq_lhs.matvec(point) == enc.eq_rhs
+    with pytest.raises(UnsupportedKindError):
+        epigraph_start(Penalty(SQL2, 1), RatVec([1]))
 
 
 def test_epigraph_zero_at_feasible_point():

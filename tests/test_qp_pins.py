@@ -9,7 +9,8 @@ the one recorded in ``tests/qp_pins.json``:
 * the slice QPs ``eval_lr_plus`` solves at ``lambda_bar`` with rho = 1 for
   linf, l1 and sql2 on two mixed grid instances, where the multipliers of
   degenerate slices are otherwise unpinned (the goldens see only
-  pure-integer slices).
+  pure-integer slices).  ``eval_lr_plus`` starts these QPs warm; the pin
+  is the cold report, and the warm one must have its status, value and x.
 
 Each pin also holds a digest of the QP, so a change in how a QP is built
 shows as a changed digest rather than as a changed report.  To record the
@@ -28,7 +29,7 @@ from random import Random
 import pytest
 
 from aldual import ald
-from aldual.convexsolve import QuadraticProgram, solve_qp
+from aldual.convexsolve import UNBOUNDED, QuadraticProgram, solve_qp
 from aldual.instance import GenConfig, generate
 from aldual.numkit import RatMat, RatVec, solve_linear, to_wire
 from aldual.penalty import parse_penalty
@@ -48,8 +49,9 @@ def _rand_rat(rng, mag):
     return Fraction(rng.randint(-mag * den, mag * den), den)
 
 
-def random_qp(seed: int) -> QuadraticProgram:
-    """A feasible QP; Q = L^T L has rank k <= n, so it is often singular.
+def random_qp(seed: int) -> tuple[QuadraticProgram, RatVec]:
+    """A feasible QP and the feasible point it was built around; Q = L^T L
+    has rank k <= n, so it is often singular.
 
     About one in six QPs repeats its first equality row, and about one in
     five has at most two inequality rows and a rank-deficient Q, so that
@@ -73,8 +75,8 @@ def random_qp(seed: int) -> QuadraticProgram:
     slack = [abs(_rand_rat(rng, 2)) if rng.random() < 0.7 else Fraction(0)
              for _ in range(m_in)]
     c = RatVec([_rand_rat(rng, 3) for _ in range(n)])
-    return QuadraticProgram(Q, c, A, A.matvec(x0), G,
-                            RatVec(g + s for g, s in zip(G.matvec(x0), slack)))
+    return QuadraticProgram(Q, c, A, A.matvec(x0), G, RatVec(
+        g + s for g, s in zip(G.matvec(x0), slack))), x0
 
 
 def _pin(qp: QuadraticProgram, report=None) -> dict:
@@ -84,7 +86,7 @@ def _pin(qp: QuadraticProgram, report=None) -> dict:
 
 
 def random_pins() -> dict:
-    return {f"random {seed}": _pin(random_qp(seed))
+    return {f"random {seed}": _pin(random_qp(seed)[0])
             for seed in range(RANDOM_COUNT)}
 
 
@@ -103,9 +105,13 @@ def slice_pins() -> dict:
         lam = ald.lambda_bar(inst).lambda_bar
         first = len(pins)
         for kind in SLICE_KINDS:
-            def record(qp):
+            def record(qp, x0=None):
                 report = solve(qp)
                 pins[f"slice {shape} {kind} #{len(pins) - first}"] = _pin(qp, report)
+                if x0 is not None:
+                    warm = solve(qp, x0)
+                    assert (warm.status, warm.value, warm.x) == \
+                        (report.status, report.value, report.x)
                 return report
 
             ald.solve_qp = record
@@ -133,12 +139,31 @@ def test_reports_match_pins(group):
     assert not wrong, f"{len(wrong)} reports differ, first {wrong[:3]}"
 
 
+def test_random_warm_starts_match_cold():
+    """Started at the generator's feasible point, each random QP ends with
+    the cold report's status and value; an unbounded one with a ray."""
+    wrong, unbounded = [], 0
+    for seed in range(RANDOM_COUNT):
+        qp, x0 = random_qp(seed)
+        cold, warm = solve_qp(qp), solve_qp(qp, x0)
+        if (warm.status, warm.value) != (cold.status, cold.value):
+            wrong.append(seed)
+        elif warm.status == UNBOUNDED:
+            ray = warm.ray
+            assert qp.eq_lhs.rows == 0 or qp.eq_lhs.matvec(ray).is_zero()
+            assert all(a <= 0 for a in qp.ineq_lhs.matvec(ray))
+            assert qp.Qobj.matvec(ray).is_zero() and qp.cobj.dot(ray) < 0
+            unbounded += 1
+    assert not wrong, f"warm reports differ at seeds {wrong[:5]}"
+    assert unbounded >= 10
+
+
 def test_random_pins_cover_the_hard_cases():
     pins = _pins("random")
     statuses = [p["report"]["status"] for p in pins.values()]
     assert statuses.count("unbounded") >= 10
     assert statuses.count("optimal") >= 200
-    qps = [random_qp(seed) for seed in range(RANDOM_COUNT)]
+    qps = [random_qp(seed)[0] for seed in range(RANDOM_COUNT)]
     singular = [qp for qp in qps
                 if solve_linear(qp.Qobj, RatVec.zeros(qp.Qobj.rows)).nullspace]
     assert len(singular) >= 100
