@@ -49,6 +49,17 @@ INFEASIBLE = {**json.loads(Path(D1).read_text(encoding="utf-8")), "b": ["1/2"]}
 FREE_CONTINUOUS = {"n1": 1, "n2": 1, "Q": [["0", "0"], ["0", "1"]],
                    "c": ["0", "1/3"], "A": [["1", "1"]], "b": ["0"],
                    "E": [["0", "1"], ["0", "-1"]], "f": ["2", "2"]}
+# n1 = 1, n2 = 2 under x1 >= 0, 0 <= y <= 2 and x1 + y1 + y2 <= 2: three of
+# the nine box points have an empty slice
+COUPLED = {"n1": 1, "n2": 2,
+           "Q": [["2", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]],
+           "c": ["-1", "1", "-1"], "A": [["1", "-1", "1"]], "b": ["1"],
+           "E": [["-1", "0", "0"], ["1", "1", "1"], ["0", "-1", "0"],
+                 ["0", "0", "-1"], ["0", "1", "0"], ["0", "0", "1"]],
+           "f": ["0", "2", "0", "0", "2", "2"]}
+# the same rows with Q11 = 0: every slice is an LP
+COUPLED_LP = {**COUPLED,
+              "Q": [["0", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 MIXED_GEN = ["--n1", "1", "--n2", "1", "--m", "1", "--m2", "1",
              "--magnitude", "2", "--seed", "41"]
 
@@ -94,6 +105,14 @@ CASES = {
     "mixed rho dual-linf": ("mixed", [
         "rho", "--penalty", "linf", "--method", "dual-linf"]),
 }
+for _name, _doc in (("coupled", COUPLED), ("coupled-lp", COUPLED_LP)):
+    CASES.update({
+        f"{_name} rho dual-linf verify": (_doc, [
+            "rho", "--penalty", "linf", "--method", "dual-linf", "--verify"]),
+        f"{_name} sweep l1": (_doc, [
+            "sweep", "--penalty", "l1", "--rhos", "0,1,4"]),
+        f"{_name} solve": (_doc, ["solve"]),
+    })
 
 
 def _run_cli(source, argv, tmp: Path) -> dict:
