@@ -3,11 +3,11 @@
 The integer variables are always enumerated over a box implied by the
 linear set (computed by LP), so the ground-truth mixed integer value and
 every penalized relaxation value are exact minima over finitely many
-convex subproblems.  Without continuous variables (n1 = 0) each
-subproblem is a single point, evaluated in closed form with no solver.
-Otherwise a slice's feasible set E1 x1 <= f - E2 x2 does not depend on
-the objective, so one LP per slice and instance finds a feasible point of
-it (or shows it empty), and the relaxations' QP slices start there.
+convex subproblems.  One table per instance lists the nonempty slices
+E1 x1 <= f - E2 x2 with a point of each (a slice's set does not depend on
+the objective): checked directly when n1 = 0, where each subproblem is
+that point, evaluated with no solver; else found by one LP per box point.
+An empty slice takes no solve, and QP slices start at the table's point.
 """
 
 from __future__ import annotations
@@ -129,30 +129,28 @@ def lambda_bar(inst: MiqpInstance) -> NlpDuals:
 
 
 @_per_instance
-def _lattice_points(inst: MiqpInstance) -> tuple:
-    """``(x2, x2 as a vector, residual b - A x2)`` for each point of the
-    integer box with E x2 <= f, in lexicographic order: the feasible slices
-    of a pure-integer instance (n1 = 0)."""
-    table = []
-    for x2 in integer_box(inst).assignments():
-        x2v = RatVec(x2)
-        if all(v <= fi for v, fi in zip(inst.E.matvec(x2v), inst.f)):
-            table.append((x2, x2v, inst.b - inst.A.matvec(x2v)))
-    return tuple(table)
-
-
-@_per_instance
-def _slice_starts(inst: MiqpInstance) -> tuple:
-    """``(x2, x1)`` for each point of the integer box in lexicographic
-    order: x1 is a feasible point of the slice E1 x1 <= f - E2 x2 (one
-    zero-objective LP), or None when the slice is empty."""
+def _slices(inst: MiqpInstance) -> tuple:
+    """The nonempty slices E1 x1 <= f - E2 x2 of the integer box, in
+    lexicographic order, one ``(x2, x2 as a vector, r2 = b - A2 x2, x1)``
+    row each.  x1 is a point of the slice: the empty vector when n1 = 0,
+    where E x2 <= f is checked directly, else from one zero-objective LP."""
     E1, E2 = inst.split_cols(inst.E)
+    A2 = inst.split_cols(inst.A)[1]
     zero, no_rows = RatVec.zeros(inst.n1), RatMat([], cols=inst.n1)
     table = []
     for x2 in integer_box(inst).assignments():
-        rep = solve_lp(LinearProgram(zero, no_rows, RatVec([]), E1,
-                                     inst.f - E2.matvec(RatVec(x2))))
-        table.append((x2, None if rep.status == INFEASIBLE else rep.x))
+        x2v = RatVec(x2)
+        rhs = inst.f - E2.matvec(x2v)
+        if inst.n1 == 0:
+            if any(v < 0 for v in rhs):
+                continue
+            x1 = zero
+        else:
+            rep = solve_lp(LinearProgram(zero, no_rows, RatVec([]), E1, rhs))
+            if rep.status == INFEASIBLE:
+                continue
+            x1 = rep.x
+        table.append((x2, x2v, inst.b - A2.matvec(x2v), x1))
     return tuple(table)
 
 
@@ -165,9 +163,9 @@ class _SliceSolver:
     leaves each constraint matrix unchanged and moves only the right-hand
     sides and the objective, exactly.  Without continuous variables a
     slice is the point x2 itself: ``scan`` evaluates it in closed form
-    (w at its minimum is the penalty of the residual).  A QP slice without
-    the A rows starts warm from the instance's ``_slice_starts`` table;
-    LP slices and ``solve_ip``'s slices (``include_eq``) run phase 1.
+    (w at its minimum is the penalty of the residual).  ``scan`` walks the
+    ``_slices`` table, QP slices started at its x1, but ``solve_ip``'s
+    mixed slices (the table lacks the A rows) walk the raw box cold.
     """
 
     def __init__(self, inst: MiqpInstance, Qfull: RatMat, cfull: RatVec,
@@ -222,8 +220,8 @@ class _SliceSolver:
         """Returns the block report and the x2-dependent constant term.
 
         ``x1``, a point of the slice's rows E1 x1 <= f - E2 x2, starts a QP
-        slice there, its auxiliaries set by ``penalty.epigraph_start``; an
-        LP slice does not use it."""
+        slice there, its auxiliaries set by ``penalty.epigraph_start``;
+        without it, or for an LP slice, the solve is cold."""
         x2v = RatVec(x2)
         lin = RatVec(list(self.c1 + self.Q12.matvec(x2v)) + self.aux_cost)
         ineq_rhs = self.ineq_base - self.ineq_x2.matvec(x2v)
@@ -240,18 +238,22 @@ class _SliceSolver:
                                             self.ineq_mat, ineq_rhs), start)
         return rep, self._fixed_part(x2v)
 
+    def slices(self) -> tuple:
+        """The instance's nonempty slices: its ``_slices`` table."""
+        return _slices(self.inst)
+
     def scan(self):
         """Feasible slices of the integer box in lexicographic order.
 
         Yields ``(x2, report, value)`` where ``value`` is the slice minimum,
         or None when the slice is unbounded below; infeasible slices are
         skipped.  ``report`` is the slice's solver report, or None for a
-        point slice (n1 = 0), whose value is computed directly.  Warm QP
-        slices come from ``_slice_starts``: an empty slice is skipped with
-        no solve, and each other one starts at its stored point.
+        point slice (n1 = 0), whose value is computed directly.  The slices
+        come from ``slices``, each QP slice started at its row's x1, except
+        ``solve_ip``'s on a mixed instance, which solve each box point cold.
         """
         if self.inst.n1 == 0:
-            for x2, x2v, resid in _lattice_points(self.inst):
+            for x2, x2v, resid, _ in self.slices():
                 if self.include_eq and not resid.is_zero():
                     continue
                 value = self._fixed_part(x2v)
@@ -259,10 +261,10 @@ class _SliceSolver:
                     value += self.w_weight * pen_mod.evaluate(self.pen, resid)
                 yield x2, None, value
             return
-        if self.quad_free or self.include_eq:
+        if self.include_eq:
             slices = ((x2, None) for x2 in integer_box(self.inst).assignments())
         else:
-            slices = (s for s in _slice_starts(self.inst) if s[1] is not None)
+            slices = ((x2, x1) for x2, _, _, x1 in self.slices())
         for x2, x1 in slices:
             rep, const = self.solve(x2, x1)
             if rep.status == INFEASIBLE:
@@ -337,11 +339,10 @@ class RelaxReport:
     violation: Fraction | None
     assignment: tuple[int, ...] | None
     unbounded: bool = False
-    per_assignment: tuple[tuple[tuple[int, ...], Fraction], ...] | None = None
 
 
-def eval_lr_plus(inst: MiqpInstance, lam: RatVec, rho, pen: pen_mod.Penalty,
-                 keep_table: bool = False) -> RelaxReport:
+def eval_lr_plus(inst: MiqpInstance, lam: RatVec, rho,
+                 pen: pen_mod.Penalty) -> RelaxReport:
     """Exact value of the penalized Lagrangian relaxation.
 
     Minimizes  c^T x + 1/2 x^T Q x + lam^T (b - Ax) + rho * psi(b - Ax)
@@ -363,12 +364,9 @@ def eval_lr_plus(inst: MiqpInstance, lam: RatVec, rho, pen: pen_mod.Penalty,
     best_val = None
     best_x = None
     best_x2 = None
-    table = [] if keep_table else None
     for x2, rep, total in slicer.scan():
         if total is None:
             return RelaxReport(None, None, None, x2, unbounded=True)
-        if table is not None:
-            table.append((x2, total))
         if best_val is None or total < best_val:
             best_val = total
             best_x = slicer.lift(x2, rep)
@@ -377,8 +375,7 @@ def eval_lr_plus(inst: MiqpInstance, lam: RatVec, rho, pen: pen_mod.Penalty,
         raise InfeasibleDomainError("the mixed integer linear set is empty")
     residual = inst.b - inst.A.matvec(best_x) if inst.m else RatVec([])
     violation = pen_mod.evaluate(pen, residual)
-    return RelaxReport(best_val, best_x, violation, best_x2,
-                       per_assignment=tuple(table) if table is not None else None)
+    return RelaxReport(best_val, best_x, violation, best_x2)
 
 
 @dataclass(frozen=True)
@@ -389,13 +386,12 @@ class DualAscentReport:
 
 
 def dual_ascent(inst: MiqpInstance, rho, pen: pen_mod.Penalty, lambda0: RatVec,
-                max_iters: int = 50, step0=1) -> DualAscentReport:
-    """Projected supergradient ascent with diminishing steps step0/k.
+                max_iters: int = 50) -> DualAscentReport:
+    """Projected supergradient ascent with diminishing steps 1/k.
 
     Returns the best relaxation value seen, a valid lower bound on the
     penalized dual optimum; stops early at a zero supergradient.
     """
-    step0 = rat(step0)
     lam = lambda0
     best_lam, best_val = None, None
     trace: list[tuple[RatVec, Fraction | None]] = []
@@ -410,7 +406,7 @@ def dual_ascent(inst: MiqpInstance, rho, pen: pen_mod.Penalty, lambda0: RatVec,
         g = inst.b - inst.A.matvec(rep.argmin_x)
         if g.is_zero():
             break
-        lam = lam + g.scale(step0 / k)
+        lam = lam + g.scale(Fraction(1, k))
     return DualAscentReport(best_lam, best_val, tuple(trace))
 
 
@@ -433,8 +429,7 @@ class SweepRow:
 
 
 def stream_gap_sweep(inst: MiqpInstance, pen: pen_mod.Penalty, rhos,
-                     lam: RatVec | None = None, ascent_iters: int = 0,
-                     step0=1):
+                     lam: RatVec | None = None, ascent_iters: int = 0):
     """SweepRows in schedule order, enforcing exact monotonicity.  The checks,
     the ground truth and lambda_bar run at the call; the rows come lazily."""
     rhos = [rat(r) for r in rhos]
@@ -464,7 +459,7 @@ def stream_gap_sweep(inst: MiqpInstance, pen: pen_mod.Penalty, rhos,
                 kappa = pen_mod.level_diam(pen, 2 * (z_ip - z_nlp) / rho)
             z_ld = None
             if ascent_iters:
-                asc = dual_ascent(inst, rho, pen, lam, ascent_iters, step0)
+                asc = dual_ascent(inst, rho, pen, lam, ascent_iters)
                 z_ld = asc.best_value
             if have_prev and _lt_with_neg_inf(z_lr, prev):
                 raise InternalInvariantError("relaxation value decreased along rho")
@@ -475,9 +470,9 @@ def stream_gap_sweep(inst: MiqpInstance, pen: pen_mod.Penalty, rhos,
 
 
 def gap_sweep(inst: MiqpInstance, pen: pen_mod.Penalty, rhos,
-              lam: RatVec | None = None, ascent_iters: int = 0,
-              step0=1) -> list[SweepRow]:
-    return list(stream_gap_sweep(inst, pen, rhos, lam, ascent_iters, step0))
+              lam: RatVec | None = None,
+              ascent_iters: int = 0) -> list[SweepRow]:
+    return list(stream_gap_sweep(inst, pen, rhos, lam, ascent_iters))
 
 
 def _lt_with_neg_inf(a: Fraction | None, b: Fraction | None) -> bool:

@@ -367,10 +367,9 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None) -> SolveReport:
 
     Q_rows = qp.Qobj.row_list()
     eq_rows = qp.eq_lhs.row_list()
-    G = qp.ineq_lhs
-    G_rows = G.row_list()
+    G_rows = qp.ineq_lhs.row_list()
     h = qp.ineq_rhs
-    m_eq, m_in = len(eq_rows), G.rows
+    m_eq, m_in = len(eq_rows), len(G_rows)
     working: list[int] = []
 
     max_iters = 500 + 30 * (n + m_in + m_eq) ** 2
@@ -395,7 +394,7 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None) -> SolveReport:
             d, cap = sol.x[:n], _ONE
 
         if not d.is_zero():
-            blocker, alpha = _ratio_test(G, h, x, d, working, cap)
+            blocker, alpha = _ratio_test(G_rows, h, x, d, working, cap)
             if blocker is None and cap is None:
                 report = SolveReport(status=UNBOUNDED, x=x, ray=d)
                 _verify_ray(qp.cobj, qp.eq_lhs, qp.ineq_lhs, d, qp.Qobj)
@@ -435,18 +434,18 @@ def _check_start(qp: QuadraticProgram, x0: RatVec) -> None:
         raise InternalInvariantError("start point violates an inequality row")
 
 
-def _ratio_test(G: RatMat, h: RatVec, x: RatVec, d: RatVec,
-                working: list[int], cap: Fraction | None):
+def _ratio_test(G_rows: list[list[Fraction]], h: RatVec, x: RatVec,
+                d: RatVec, working: list[int], cap: Fraction | None):
     """Largest feasible step along d, capped; smallest blocking row wins ties."""
     blocker = None
     alpha = cap
     wset = set(working)
-    for i in range(G.rows):
+    for i, row in enumerate(G_rows):
         if i in wset:
             continue
-        gd = G.row(i).dot(d)
+        gd = sum(a * b for a, b in zip(row, d) if a)
         if gd > 0:
-            ratio = (h[i] - G.row(i).dot(x)) / gd
+            ratio = (h[i] - sum(a * b for a, b in zip(row, x) if a)) / gd
             if alpha is None or ratio < alpha:
                 alpha, blocker = ratio, i
     return blocker, alpha

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import penalty as pen_mod
 from .ald import (
     eval_lr_plus,
     ground_truth,
-    integer_box,
     lambda_bar,
     penalized_slicer,
 )
-from .convexsolve import INFEASIBLE, UNBOUNDED
+from .convexsolve import OPTIMAL
 from .errors import (
     BisectionCapError,
     DeltaZeroError,
@@ -176,21 +176,18 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty) -> RhoCertificate:
 
 
 def _dual_probe(inst: MiqpInstance, lam: RatVec, slicer,
-                x2: tuple[int, ...], rho: Fraction):
-    """Solve one assignment's max-norm subproblem at weight rho (``slicer``
-    is the relaxation's slicer at (lam, rho)) and extract the exact dual
-    point.
-
-    Returns (status, record); status is 'infeasible' or 'ok'; the record's
+                x2: tuple[int, ...], rho: Fraction) -> DualAssignmentRecord:
+    """Solve one nonempty slice's max-norm subproblem at weight rho, cold
+    (``slicer`` is the relaxation's slicer at (lam, rho)), and extract the
+    exact dual point.  The epigraph rows hold for a large enough w, so a
+    report other than OPTIMAL raises InternalInvariantError; the record's
     dual objective equals the subproblem value by strong duality, checked
     exactly along with the multiplier identities.
     """
     rep, const = slicer.solve(x2)
-    if rep.status == INFEASIBLE:
-        return "infeasible", None
-    if rep.status == UNBOUNDED:
+    if rep.status != OPTIMAL:
         raise InternalInvariantError(
-            "subproblem unbounded at the optimal multipliers"
+            f"slice {x2} subproblem {rep.status} at the optimal multipliers"
         )
     value = rep.value + const
     m, m2, n1 = inst.m, inst.m2, inst.n1
@@ -225,20 +222,19 @@ def _dual_probe(inst: MiqpInstance, lam: RatVec, slicer,
     )
     if dual_value != value:
         raise InternalInvariantError("dual objective differs from primal value")
-    record = DualAssignmentRecord(
+    return DualAssignmentRecord(
         assignment=tuple(x2), nu=nu, y1=y1, y2=y2, y3=y3,
         y4=zeros1, y5=zeros1, rho_x2=rho, dual_value=dual_value,
     )
-    return "ok", record
 
 
 def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
     """Max-norm weight from per-assignment dual constructions.
 
-    For each integer assignment, the smallest weight (within interval
-    width 1, by bisection over rho >= 1) whose dual subproblem value
-    reaches the integer optimum is found; the overall weight is the
-    maximum over assignments and is re-verified primally.
+    For each integer assignment with a nonempty slice, the smallest weight
+    (within interval width 1, by bisection over rho >= 1) whose dual
+    subproblem value reaches the integer optimum is found; the overall
+    weight is the maximum over assignments and is re-verified primally.
     """
     z_ip = ground_truth(inst).value
     lam = lambda_bar(inst).lambda_bar
@@ -247,20 +243,19 @@ def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
         return _issue(inst, lam, _ONE, pen_linf, DUAL_LINF, DualLinfEvidence(()))
 
     chat = inst.c - inst.A.tmatvec(lam)
-    slicers: dict = {}
+
+    @cache
+    def slicer(rho):
+        return penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b), pen_linf,
+                                rho)
 
     def probe(x2, rho):
-        if rho not in slicers:
-            slicers[rho] = penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b),
-                                            pen_linf, rho)
-        return _dual_probe(inst, lam, slicers[rho], x2, rho)
+        return _dual_probe(inst, lam, slicer(rho), x2, rho)
 
     records: list[DualAssignmentRecord] = []
     current = _ONE
-    for x2 in integer_box(inst).assignments():
-        status, rec = probe(x2, current)
-        if status == "infeasible":
-            continue
+    for x2, *_ in slicer(current).slices():
+        rec = probe(x2, current)
         if rec.dual_value >= z_ip:
             records.append(rec)
             continue
@@ -271,13 +266,13 @@ def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
                 raise BisectionCapError(
                     f"no certifying weight below {_BISECTION_CAP} for {x2}"
                 )
-            _, rec_hi = probe(x2, hi)
+            rec_hi = probe(x2, hi)
             if rec_hi.dual_value >= z_ip:
                 break
             lo, hi = hi, 2 * hi
         while hi - lo > 1:
             mid = (lo + hi) / 2
-            _, rec_mid = probe(x2, mid)
+            rec_mid = probe(x2, mid)
             if rec_mid.dual_value >= z_ip:
                 hi, rec_hi = mid, rec_mid
             else:

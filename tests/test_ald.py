@@ -17,15 +17,15 @@ from aldual.ald import (
     sweep_row_json,
     violation_bound_check,
 )
-from aldual.convexsolve import INFEASIBLE, OPTIMAL
+from aldual.convexsolve import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 from aldual.errors import InfeasibleDomainError, UnboundedIntegerVarError
-from aldual.exactrho import rho_sufficient
+from aldual.exactrho import rho_dual_linf, rho_sufficient
 from aldual.instance import GenConfig, MiqpInstance, generate
 from aldual.numkit import RatMat, RatVec, parse_rat
 from aldual.penalty import L1, LINF, Penalty, SQL2, evaluate, parse_penalty
 
 from conftest import d1_instance
-from corpus import pure_integer_corpus
+from corpus import GRID_SHAPES, grid_corpus, pure_integer_corpus
 
 
 def _replace(inst, **kw):
@@ -145,13 +145,6 @@ def test_eval_feasible_point_objective_identity(d1):
             assert rep.value <= d1.objective_value(x_feas)
 
 
-def test_eval_per_assignment_table(d1):
-    nd = lambda_bar(d1)
-    rep = eval_lr_plus(d1, nd.lambda_bar, 1, Penalty(LINF, 1), keep_table=True)
-    assert len(rep.per_assignment) == 49
-    assert min(v for _, v in rep.per_assignment) == rep.value
-
-
 def test_eval_unbounded_sentinel():
     # rho = 0 with a bad multiplier and a free continuous direction
     inst = MiqpInstance(Q=RatMat([[0]]), c=RatVec([0]), A=RatMat([[1]]),
@@ -240,7 +233,7 @@ def test_ascent_early_stop_at_zero_supergradient(d1):
 
 def test_ascent_from_zero_reaches_optimum(d1):
     pen = Penalty(LINF, 1)
-    rep = dual_ascent(d1, 8, pen, RatVec([0]), max_iters=50, step0=1)
+    rep = dual_ascent(d1, 8, pen, RatVec([0]), max_iters=50)
     assert rep.best_value == 1
 
 
@@ -526,11 +519,22 @@ def _cold_route(slicer, pen):
     return (value, x, evaluate(pen, inst.b - inst.A.matvec(x))), empty
 
 
+def _coupled_lp_instance():
+    """_coupled_instance with Q11 = 0: every slice is an LP."""
+    return _replace(_coupled_instance(),
+                    Q=RatMat([[0, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def _empty_slices(inst):
+    """The box points missing from the slice table."""
+    listed = {x2 for x2, *_ in ald._slices(inst)}
+    return [x2 for x2 in integer_box(inst).assignments() if x2 not in listed]
+
+
 def test_empty_slices_take_no_solve(solver_calls):
     inst = _coupled_instance()
-    starts = ald._slice_starts(inst)
-    assert [x2 for x2, _ in starts] == list(integer_box(inst).assignments())
-    empty = [x2 for x2, x1 in starts if x1 is None]
+    table = ald._slices(inst)
+    empty = _empty_slices(inst)
     assert empty == [(1, 2), (2, 1), (2, 2)]
     lam = lambda_bar(inst).lambda_bar
     chat = inst.c - inst.A.tmatvec(lam)
@@ -539,11 +543,76 @@ def test_empty_slices_take_no_solve(solver_calls):
         for rho in (0, 1, 4):
             solver_calls.update(lp=0, qp=0)
             got = eval_lr_plus(inst, lam, rho, pen)
-            assert solver_calls == {"lp": 0, "qp": len(starts) - len(empty)}
+            assert solver_calls == {"lp": 0, "qp": len(table)}
             slicer = ald.penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b),
                                           pen, Fraction(rho))
             assert _cold_route(slicer, pen) == (
                 (got.value, got.argmin_x, got.violation), empty)
+
+
+def test_lp_slices_skip_empty_slices(solver_calls):
+    # the first evaluation builds the table, one LP per box point; every
+    # evaluation then solves one cold LP per nonempty slice (6 of 9)
+    inst = _coupled_lp_instance()
+    integer_box(inst)
+    lam = lambda_bar(inst).lambda_bar
+    chat = inst.c - inst.A.tmatvec(lam)
+    table_lps = 9
+    for spec in ("linf", "l1", "slinf:3/2"):
+        pen = parse_penalty(spec, inst.m)
+        for rho in (0, 1, 4):
+            solver_calls.update(lp=0, qp=0)
+            got = eval_lr_plus(inst, lam, rho, pen)
+            assert solver_calls == {"lp": table_lps + 6, "qp": 0}
+            table_lps = 0
+            slicer = ald.penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b),
+                                          pen, Fraction(rho))
+            assert slicer.quad_free
+            assert _cold_route(slicer, pen) == (
+                (got.value, got.argmin_x, got.violation), [(1, 2), (2, 1), (2, 2)])
+
+
+@pytest.mark.parametrize("make, calls", [
+    (_coupled_instance, {"lp": 9 + 6, "qp": 6 + 6}),
+    (_coupled_lp_instance, {"lp": 9 + 6 + 6, "qp": 0}),
+])
+def test_dual_linf_probes_no_empty_slice(make, calls, solver_calls):
+    # the table's LPs, one cold probe per nonempty slice at rho* = 1, then
+    # the primal verification's evaluation over the nonempty slices
+    inst = make()
+    solve_ip(inst)
+    lambda_bar(inst)
+    solver_calls.update(lp=0, qp=0)
+    cert = rho_dual_linf(inst)
+    assert solver_calls == calls
+    assert cert.rho_star == 1
+    assert [r.assignment for r in cert.evidence.records] == [
+        x2 for x2, *_ in ald._slices(inst)]
+
+
+@pytest.mark.parametrize("idx", range(len(GRID_SHAPES) + 1))
+def test_slice_table_lists_the_nonempty_slices(idx):
+    # the grid corpus, then an instance with empty slices
+    inst = [*grid_corpus(), _coupled_instance()][idx]
+    E1, E2 = inst.split_cols(inst.E)
+    A2 = inst.split_cols(inst.A)[1]
+    nonempty = []
+    for x2 in integer_box(inst).assignments():
+        rhs = inst.f - E2.matvec(RatVec(x2))
+        if inst.n1 == 0:
+            feasible = all(v >= 0 for v in rhs)
+        else:
+            feasible = solve_lp(LinearProgram(
+                RatVec.zeros(inst.n1), RatMat([], cols=inst.n1), RatVec([]),
+                E1, rhs)).status == OPTIMAL
+        if feasible:
+            nonempty.append(x2)
+    table = ald._slices(inst)
+    assert [x2 for x2, *_ in table] == nonempty
+    for x2, x2v, r2, x1 in table:
+        assert x2v == RatVec(x2) and r2 == inst.b - A2.matvec(x2v)
+        assert len(x1) == inst.n1
+        assert all(v <= f for v, f in zip(E1.matvec(x1), inst.f - E2.matvec(x2v)))
 
 
 def _no_variables(b, f):

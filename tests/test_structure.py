@@ -3,7 +3,9 @@
 No module imports an underscore-prefixed name from another aldual module,
 every import sits at module level (none inside a function body), and only
 ``numkit`` calls ``format_rat``: every other module renders through
-``numkit.to_wire``, so the wire format is known in one place.
+``numkit.to_wire``, so the wire format is known in one place.  Only ``ald``
+calls a method named ``assignments``: every other module walks the slices
+through ``ald``'s slice table, not its own loop over the raw integer box.
 """
 
 import ast
@@ -53,4 +55,13 @@ def test_only_numkit_calls_format_rat(path):
              if isinstance(node, ast.Call)
              and "format_rat" in (getattr(node.func, "id", None),
                                   getattr(node.func, "attr", None))]
+    assert calls == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "ald"],
+                         ids=lambda p: p.name)
+def test_only_ald_walks_the_integer_box(path):
+    calls = [f"line {node.lineno}" for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "assignments"]
     assert calls == []
