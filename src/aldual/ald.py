@@ -162,9 +162,9 @@ class _SliceSolver:
     last of which, w, costs ``w_weight``); fixing the integer part x2
     leaves each constraint matrix unchanged and moves only the right-hand
     sides and the objective, exactly.  Without continuous variables a
-    slice is the point x2 itself: ``scan`` evaluates it in closed form
-    (w at its minimum is the penalty of the residual).  ``scan`` walks the
-    ``_slices`` table, QP slices started at its x1, but ``solve_ip``'s
+    slice is the point x2 itself: ``row_minimum`` evaluates it in closed
+    form (w at its minimum is the penalty of the residual).  ``scan`` walks
+    the ``_slices`` table, QP slices started at its x1, but ``solve_ip``'s
     mixed slices (the table lacks the A rows) walk the raw box cold.
     """
 
@@ -242,6 +242,22 @@ class _SliceSolver:
         """The instance's nonempty slices: its ``_slices`` table."""
         return _slices(self.inst)
 
+    def row_minimum(self, row: tuple) -> Fraction | None:
+        """The minimum over one ``slices()`` row's slice, or None when it is
+        unbounded below: a point slice (n1 = 0) in closed form, else one
+        solve started at the row's x1.  The row's slice is nonempty, so a
+        report of INFEASIBLE raises InternalInvariantError."""
+        x2, x2v, resid, x1 = row
+        if self.inst.n1 == 0:
+            value = self._fixed_part(x2v)
+            if self.pen is not None:
+                value += self.w_weight * pen_mod.evaluate(self.pen, resid)
+            return value
+        rep, const = self.solve(x2, x1)
+        if rep.status == INFEASIBLE:
+            raise InternalInvariantError(f"table slice {x2} reported infeasible")
+        return None if rep.status == UNBOUNDED else rep.value + const
+
     def scan(self):
         """Feasible slices of the integer box in lexicographic order.
 
@@ -253,13 +269,11 @@ class _SliceSolver:
         ``solve_ip``'s on a mixed instance, which solve each box point cold.
         """
         if self.inst.n1 == 0:
-            for x2, x2v, resid, _ in self.slices():
+            for row in self.slices():
+                x2, _, resid, _ = row
                 if self.include_eq and not resid.is_zero():
                     continue
-                value = self._fixed_part(x2v)
-                if self.pen is not None:
-                    value += self.w_weight * pen_mod.evaluate(self.pen, resid)
-                yield x2, None, value
+                yield x2, None, self.row_minimum(row)
             return
         if self.include_eq:
             slices = ((x2, None) for x2 in integer_box(self.inst).assignments())

@@ -6,6 +6,17 @@ value exactly, otherwise construction raises.  Three bound-producing
 routes (a violation-margin formula, a per-assignment dual construction for
 the max-norm, and conversions to other norms / other multipliers) are
 cross-checked by an empirical bisection oracle.
+
+The oracle's bisection of [0, rho_max] to width 2**-10 runs on a fixed
+grid, rho_max * k / 2**K with K set by rho_max, and returns the smallest
+grid point that closes the gap.  That test splits over the slices:
+z_lr(lam, rho) <= z_ip always (the integer optimum is a point with zero
+residual), so the gap closes exactly when every slice's minimum is at
+least z_ip, and each slice's minimum is nondecreasing in rho.  The
+returned point is therefore the maximum over the slices of each slice's
+own smallest passing grid point, which the oracle finds by one walk of
+the slice table: one solve per slice that already passes at the running
+index, and a bisection of that one slice only where it raises the index.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from .convexsolve import OPTIMAL
 from .errors import (
     BisectionCapError,
     DeltaZeroError,
+    DimMismatchError,
     InternalInvariantError,
     UnsupportedKindError,
 )
@@ -175,6 +187,14 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty) -> RhoCertificate:
     return _issue(inst, duals.lambda_bar, rho_star, pen, SUFFICIENT, evidence)
 
 
+def _relaxation_slicers(inst: MiqpInstance, lam: RatVec, pen: pen_mod.Penalty):
+    """The relaxation's slicer at (lam, rho) as a function of rho, each
+    built once."""
+    chat = inst.c - inst.A.tmatvec(lam)
+    const = lam.dot(inst.b)
+    return cache(lambda rho: penalized_slicer(inst, inst.Q, chat, const, pen, rho))
+
+
 def _dual_probe(inst: MiqpInstance, lam: RatVec, slicer,
                 x2: tuple[int, ...], rho: Fraction) -> DualAssignmentRecord:
     """Solve one nonempty slice's max-norm subproblem at weight rho, cold
@@ -242,12 +262,7 @@ def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
     if inst.m == 0:
         return _issue(inst, lam, _ONE, pen_linf, DUAL_LINF, DualLinfEvidence(()))
 
-    chat = inst.c - inst.A.tmatvec(lam)
-
-    @cache
-    def slicer(rho):
-        return penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b), pen_linf,
-                                rho)
+    slicer = _relaxation_slicers(inst, lam, pen_linf)
 
     def probe(x2, rho):
         return _dual_probe(inst, lam, slicer(rho), x2, rho)
@@ -346,28 +361,54 @@ def rho_bisect_empirical(inst: MiqpInstance, lam: RatVec,
     Returns an upper bound within EMPIRICAL_WIDTH (2**-10) of the minimal
     weight at which the relaxation value equals the integer optimum, or
     achieved=False when even rho_max fails.
+
+    The bound is the one a bisection of [0, rho_max] down to width
+    EMPIRICAL_WIDTH returns: halving K times (K fixed by rho_max alone)
+    leaves the smallest grid point rho_max * k / 2**K that closes the gap,
+    0 when rho = 0 does.  Closing the gap is a per-slice test: z_lr never
+    exceeds z_ip (the integer optimum has zero residual), so it equals
+    z_ip exactly when every slice's minimum is at least z_ip, and each
+    slice's minimum is nondecreasing in rho.  So the grid index is the
+    maximum over the slices of each one's own smallest passing index: the
+    table is walked once with the running index k, a slice passing at k
+    costs one solve, and a slice failing there is bisected alone over
+    (k, 2**K] after one check at rho_max, which raises k.
     """
     if not pen.is_norm:
         raise UnsupportedKindError("empirical bisection needs a norm kind")
+    if len(lam) != inst.m:
+        raise DimMismatchError(f"multiplier dim {len(lam)} vs {inst.m} rows")
+    if pen.dim != inst.m:
+        raise DimMismatchError(f"penalty dim {pen.dim} vs {inst.m} rows")
     rho_max = rat(rho_max)
+    if rho_max < 0:
+        raise ValueError("rho_max must be nonnegative")
     z_ip = ground_truth(inst).value
+    halvings, width = 0, rho_max
+    while width > EMPIRICAL_WIDTH:
+        halvings, width = halvings + 1, width / 2
+    top = 2 ** halvings
+    slicer = _relaxation_slicers(inst, lam, pen)
 
-    def hit(rho: Fraction) -> bool:
-        rep = eval_lr_plus(inst, lam, rho, pen)
-        return (not rep.unbounded) and rep.value == z_ip
+    def passes(row, k: int) -> bool:
+        value = slicer(rho_max * k / top).row_minimum(row)
+        return value is not None and value >= z_ip
 
-    if hit(_ZERO):
-        return EmpiricalBound(_ZERO, True)
-    if not hit(rho_max):
-        return EmpiricalBound(rho_max, False)
-    lo, hi = _ZERO, rho_max
-    while hi - lo > EMPIRICAL_WIDTH:
-        mid = (lo + hi) / 2
-        if hit(mid):
-            hi = mid
-        else:
-            lo = mid
-    return EmpiricalBound(hi, True)
+    k = 0
+    for row in slicer(_ZERO).slices():
+        if passes(row, k):
+            continue
+        if not passes(row, top):
+            return EmpiricalBound(rho_max, False)
+        lo, hi = k, top
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if passes(row, mid):
+                hi = mid
+            else:
+                lo = mid
+        k = hi
+    return EmpiricalBound(rho_max * k / top, True)
 
 
 def certificate_empirical(inst: MiqpInstance, lam: RatVec,

@@ -1,5 +1,6 @@
 import pytest
 
+from aldual import ald, convexsolve
 from aldual.instance import MiqpInstance
 from aldual.numkit import RatMat, RatVec
 
@@ -24,3 +25,22 @@ def d1_instance() -> MiqpInstance:
 @pytest.fixture
 def d1() -> MiqpInstance:
     return d1_instance()
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts the LP and QP solves made through aldual.ald, the phase-1 LP
+    inside solve_qp included."""
+    calls = {"lp": 0, "qp": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ald, "solve_lp", counting("lp", ald.solve_lp))
+    monkeypatch.setattr(convexsolve, "solve_lp",
+                        counting("lp", convexsolve.solve_lp))
+    monkeypatch.setattr(ald, "solve_qp", counting("qp", ald.solve_qp))
+    return calls

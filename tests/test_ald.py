@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from aldual import ald, convexsolve
+from aldual import ald
 from aldual.ald import (
     SWEEP_CSV_HEADER,
     dual_ascent,
@@ -343,25 +343,6 @@ def test_weak_duality_chain_small_instances():
 
 
 # ------------------------------------------------- per-instance facts once
-
-@pytest.fixture
-def solver_calls(monkeypatch):
-    """Counts the LP and QP solves made through aldual.ald, the phase-1 LP
-    inside solve_qp included."""
-    calls = {"lp": 0, "qp": 0}
-
-    def counting(key, fn):
-        def wrapped(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(ald, "solve_lp", counting("lp", ald.solve_lp))
-    monkeypatch.setattr(convexsolve, "solve_lp",
-                        counting("lp", convexsolve.solve_lp))
-    monkeypatch.setattr(ald, "solve_qp", counting("qp", ald.solve_qp))
-    return calls
-
 
 def _mixed_instance():
     return generate(GenConfig(1, 1, 1, 1, magnitude=2, seed=41))

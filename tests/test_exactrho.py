@@ -1,15 +1,24 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
-from aldual.ald import lambda_bar, solve_ip
-from aldual.errors import DeltaZeroError, UnsupportedKindError
+from aldual.ald import (
+    eval_lr_plus,
+    ground_truth,
+    lambda_bar,
+    penalized_slicer,
+    solve_ip,
+)
+from aldual.errors import DeltaZeroError, DimMismatchError, UnsupportedKindError
 from aldual.exactrho import (
     DUAL_LINF,
     EMPIRICAL,
+    EMPIRICAL_WIDTH,
     LAMBDA_SHIFT,
     NORM_CONVERT,
     SUFFICIENT,
+    EmpiricalBound,
     certificate_empirical,
     certificate_for_lambda,
     certificate_for_norm,
@@ -21,10 +30,15 @@ from aldual.exactrho import (
     rho_sufficient,
 )
 from aldual.instance import GenConfig, MiqpInstance, generate
-from aldual.numkit import RatMat, RatVec
+from aldual.numkit import RatMat, RatVec, rat
 from aldual.penalty import L1, LINF, Penalty, SCALED_LINF, SQL2
 
+from conftest import d1_instance
+from corpus import grid_corpus
+from test_ald import _coupled_instance, _coupled_lp_instance
+
 WIDTH = Fraction(1, 1024)
+_ZERO = Fraction(0)
 
 
 def gap_instance():
@@ -202,6 +216,165 @@ def test_empirical_certificate(d1):
     cert = certificate_empirical(d1, nd.lambda_bar, Penalty(LINF, 1), 4)
     assert cert.method == EMPIRICAL
     assert certify(d1, cert.lambda_used, cert.rho_star, Penalty(LINF, 1))
+
+
+# the reference's evaluations, shared between the calls of one case (the
+# rho = 0 evaluation recurs for every rho_max)
+_reference_eval = functools.cache(eval_lr_plus)
+
+
+def _midpoint_bisection(inst, lam, pen, rho_max):
+    """The oracle's earlier algorithm, kept as the reference: one
+    evaluation over every slice at each midpoint, the code verbatim but
+    for the memoized evaluator."""
+    if not pen.is_norm:
+        raise UnsupportedKindError("empirical bisection needs a norm kind")
+    rho_max = rat(rho_max)
+    z_ip = ground_truth(inst).value
+
+    def hit(rho: Fraction) -> bool:
+        rep = _reference_eval(inst, lam, rho, pen)
+        return (not rep.unbounded) and rep.value == z_ip
+
+    if hit(_ZERO):
+        return EmpiricalBound(_ZERO, True)
+    if not hit(rho_max):
+        return EmpiricalBound(rho_max, False)
+    lo, hi = _ZERO, rho_max
+    while hi - lo > EMPIRICAL_WIDTH:
+        mid = (lo + hi) / 2
+        if hit(mid):
+            hi = mid
+        else:
+            lo = mid
+    return EmpiricalBound(hi, True)
+
+
+def _norm_penalties(m):
+    return (Penalty(LINF, m), Penalty(L1, m),
+            Penalty(SCALED_LINF, m, alpha=Fraction(3, 2)))
+
+
+# the first four instances of the benchmark's certify draw at seed 0: a
+# mixed stratum (QP slices) and a pure-integer one, both with a classical gap
+_CERTIFY_STRATUM = [
+    GenConfig(1, 1, 1, 0, magnitude=2, seed=751071109),
+    GenConfig(0, 2, 1, 0, magnitude=1, seed=872435803),
+    GenConfig(1, 1, 1, 0, magnitude=2, seed=651273692),
+    GenConfig(0, 2, 1, 0, magnitude=1, seed=606154935),
+]
+_EQUIVALENCE_CASES = (["d1", "coupled", "coupled-lp"]
+                      + [f"grid{i}" for i in range(25)]
+                      + [f"certify{i}" for i in range(len(_CERTIFY_STRATUM))])
+
+
+def _equivalence_instance(name):
+    if name.startswith("grid"):
+        return grid_corpus()[int(name[4:])]
+    if name.startswith("certify"):
+        return generate(_CERTIFY_STRATUM[int(name[7:])])
+    return {"d1": d1_instance, "coupled": _coupled_instance,
+            "coupled-lp": _coupled_lp_instance}[name]()
+
+
+@pytest.mark.parametrize("name", _EQUIVALENCE_CASES)
+def test_empirical_equals_midpoint_bisection(name):
+    # rho_max: the certificate's weight (at least 1), 0, half the width,
+    # the width, and the grid point below an achieved bound, which fails
+    inst = _equivalence_instance(name)
+    lam = lambda_bar(inst).lambda_bar
+    rho_linf = rho_dual_linf(inst).rho_star
+    for pen in _norm_penalties(inst.m):
+        top = max(rho_for_norm(rho_linf, pen), 1)
+        full = _midpoint_bisection(inst, lam, pen, top)
+        assert full.achieved
+        rho_maxes = [top, 0, WIDTH / 2, WIDTH]
+        if full.rho_min_upper > WIDTH:
+            below = full.rho_min_upper - WIDTH
+            assert not _midpoint_bisection(inst, lam, pen, below).achieved
+            rho_maxes.append(below)
+        for rho_max in rho_maxes:
+            assert rho_bisect_empirical(inst, lam, pen, rho_max) == \
+                _midpoint_bisection(inst, lam, pen, rho_max)
+
+
+def test_empirical_equals_midpoint_bisection_on_unbounded_slices():
+    # the free-continuous wire-pin instance: x1 free, x1 + x2 = 0,
+    # |x2| <= 2; at lambda = (1) every slice is unbounded below a weight
+    # of 1 (2/3 for slinf:3/2), and z_ip = 0 is reached there
+    inst = MiqpInstance(Q=RatMat([[0, 0], [0, 1]]), c=RatVec([0, Fraction(1, 3)]),
+                        A=RatMat([[1, 1]]), b=RatVec([0]),
+                        E=RatMat([[0, 1], [0, -1]]), f=RatVec([2, 2]),
+                        n1=1, n2=1)
+    lam = RatVec([1])
+    for pen in _norm_penalties(1):
+        assert eval_lr_plus(inst, lam, Fraction(1, 2), pen).unbounded
+        for rho_max in (4, 1, Fraction(1, 2), 0, WIDTH / 2, WIDTH):
+            assert rho_bisect_empirical(inst, lam, pen, rho_max) == \
+                _midpoint_bisection(inst, lam, pen, rho_max)
+    assert rho_bisect_empirical(inst, lam, Penalty(LINF, 1), 4) == \
+        EmpiricalBound(Fraction(1), True)
+
+
+def test_empirical_argument_checks(d1, solver_calls):
+    # on a fresh mixed instance no solve is made before the checks raise
+    inst = gap_instance()
+    lam = RatVec.zeros(inst.m)
+    with pytest.raises(DimMismatchError):
+        rho_bisect_empirical(inst, RatVec.zeros(inst.m + 1), Penalty(LINF, inst.m), 1)
+    with pytest.raises(DimMismatchError):
+        rho_bisect_empirical(inst, lam, Penalty(LINF, inst.m + 1), 1)
+    with pytest.raises(ValueError, match="rho_max"):
+        rho_bisect_empirical(inst, lam, Penalty(LINF, inst.m), -1)
+    assert solver_calls == {"lp": 0, "qp": 0}
+    # rho = 0 already closes d1's gap at lambda_bar: still an error
+    with pytest.raises(ValueError, match="rho_max"):
+        rho_bisect_empirical(d1, lambda_bar(d1).lambda_bar, Penalty(LINF, 1), -1)
+
+
+def _own_threshold(inst, lam, pen, z_ip, row, rho_max, top):
+    """A slice's own smallest passing index on the grid rho_max * k / top,
+    found apart from the route: a bisection of that slice alone over
+    [0, top], where it must pass."""
+    chat = inst.c - inst.A.tmatvec(lam)
+
+    def passes(k):
+        slicer = penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b), pen,
+                                  rho_max * k / top)
+        value = slicer.row_minimum(row)
+        return value is not None and value >= z_ip
+
+    assert passes(top)
+    lo, hi = -1, top
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
+
+
+def test_empirical_solves_each_slice_once_plus_its_raises(solver_calls):
+    # S slices, K halvings and r raises of the running index: one solve
+    # per slice, and at most K + 1 more for each raise
+    inst = gap_instance()
+    lam = lambda_bar(inst).lambda_bar
+    pen = Penalty(LINF, inst.m)
+    z_ip = solve_ip(inst).value
+    rows = penalized_slicer(inst, inst.Q, inst.c, _ZERO, pen, _ZERO).slices()
+    rho_max, halvings = Fraction(1), 10  # 1 / 2**10 is the width
+    solver_calls.update(lp=0, qp=0)
+    bound = rho_bisect_empirical(inst, lam, pen, rho_max)
+    solves = solver_calls["lp"] + solver_calls["qp"]
+
+    top = 2 ** halvings
+    running, raises = 0, 0
+    for row in rows:
+        k = _own_threshold(inst, lam, pen, z_ip, row, rho_max, top)
+        if k > running:
+            running, raises = k, raises + 1
+    assert bound == EmpiricalBound(rho_max * running / top, True)
+    assert raises >= 1
+    assert solves <= len(rows) + raises * (halvings + 1)
+    assert (len(rows), raises, solves) == (5, 1, 16)
 
 
 # ------------------------------------------------------------- properties
