@@ -7,7 +7,9 @@ convex subproblems.  One table per instance lists the nonempty slices
 E1 x1 <= f - E2 x2 with a point of each (a slice's set does not depend on
 the objective): checked directly when n1 = 0, where each subproblem is
 that point, evaluated with no solver; else found by one LP per box point.
-An empty slice takes no solve, and QP slices start at the table's point.
+Each row also carries the slice's x2-only terms, from which every slice
+program of every relaxation (lam, pen, rho) is assembled.  An empty slice
+takes no solve, and QP slices start at the table's point.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import penalty as pen_mod
 from .convexsolve import (
@@ -43,17 +46,18 @@ _ZERO = Fraction(0)
 
 
 def _per_instance(fn):
-    """Compute ``fn(inst)`` once per instance object, kept in its ``__dict__``
-    outside the dataclass fields (equality, hashing and ``replace`` ignore
-    it); a call that raises stores nothing.  Results are shared: immutable."""
+    """Compute ``fn(inst, *args)`` once per instance object and hashable
+    ``args``, kept in its ``__dict__`` outside the dataclass fields
+    (equality, hashing and ``replace`` ignore it); a call that raises
+    stores nothing.  Results are shared: immutable."""
     key = "_" + fn.__name__
 
     @functools.wraps(fn)
-    def once(inst: MiqpInstance):
-        facts = vars(inst)
-        if key not in facts:
-            facts[key] = fn(inst)
-        return facts[key]
+    def once(inst: MiqpInstance, *args):
+        facts = vars(inst).setdefault(key, {})
+        if args not in facts:
+            facts[args] = fn(inst, *args)
+        return facts[args]
 
     return once
 
@@ -128,162 +132,184 @@ def lambda_bar(inst: MiqpInstance) -> NlpDuals:
     return NlpDuals(rep.eq_duals, rep.ineq_duals, rep.value, rep.x)
 
 
+class SliceRow(NamedTuple):
+    """An integer point x2 and its slice's x2-only terms: r2 = b - A2 x2,
+    s2 = f - E2 x2, f2 = c2.x2 + 1/2 x2^T Q22 x2 and g1 = c1 + Q12 x2; x1
+    is a point of the slice (E1 x1 <= s2), None when none is known."""
+
+    x2: tuple[int, ...]
+    r2: RatVec
+    s2: RatVec
+    f2: Fraction
+    g1: RatVec
+    x1: RatVec | None
+
+
+def _box_rows(inst: MiqpInstance, points):
+    """The SliceRow of each integer point, x1 left None."""
+    A2, E2 = inst.split_cols(inst.A)[1], inst.split_cols(inst.E)[1]
+    _, Q12, Q22 = inst.q_blocks()
+    c1, c2 = inst.c_split()
+    for x2 in points:
+        x2v = RatVec(x2)
+        yield SliceRow(x2, inst.b - A2.matvec(x2v), inst.f - E2.matvec(x2v),
+                       c2.dot(x2v) + x2v.dot(Q22.matvec(x2v)) / 2,
+                       c1 + Q12.matvec(x2v), None)
+
+
 @_per_instance
-def _slices(inst: MiqpInstance) -> tuple:
-    """The nonempty slices E1 x1 <= f - E2 x2 of the integer box, in
-    lexicographic order, one ``(x2, x2 as a vector, r2 = b - A2 x2, x1)``
-    row each.  x1 is a point of the slice: the empty vector when n1 = 0,
-    where E x2 <= f is checked directly, else from one zero-objective LP."""
-    E1, E2 = inst.split_cols(inst.E)
-    A2 = inst.split_cols(inst.A)[1]
+def _slices(inst: MiqpInstance) -> tuple[SliceRow, ...]:
+    """The nonempty slices E1 x1 <= s2 of the integer box, in lexicographic
+    order, one SliceRow each.  Its x1 is the empty vector when n1 = 0,
+    where s2 >= 0 is checked directly, else from one zero-objective LP."""
+    E1 = inst.split_cols(inst.E)[0]
     zero, no_rows = RatVec.zeros(inst.n1), RatMat([], cols=inst.n1)
     table = []
-    for x2 in integer_box(inst).assignments():
-        x2v = RatVec(x2)
-        rhs = inst.f - E2.matvec(x2v)
+    for row in _box_rows(inst, integer_box(inst).assignments()):
         if inst.n1 == 0:
-            if any(v < 0 for v in rhs):
+            if any(v < 0 for v in row.s2):
                 continue
             x1 = zero
         else:
-            rep = solve_lp(LinearProgram(zero, no_rows, RatVec([]), E1, rhs))
+            rep = solve_lp(LinearProgram(zero, no_rows, RatVec([]), E1, row.s2))
             if rep.status == INFEASIBLE:
                 continue
             x1 = rep.x
-        table.append((x2, x2v, inst.b - A2.matvec(x2v), x1))
+        table.append(row._replace(x1=x1))
     return tuple(table)
 
 
-class _SliceSolver:
-    """Per-assignment continuous subproblems for a fixed objective shape.
+@_per_instance
+def _x1_block(inst: MiqpInstance, pen: pen_mod.Penalty | None, s: int,
+              q: Fraction, include_eq: bool) -> tuple:
+    """A slicer's continuous block (A1, quadratic, inequality rows,
+    equality rows, the equalities' right-hand side), which depends on
+    neither lam nor the weight of w; ``pen`` is its norm penalty or None."""
+    n1 = inst.n1
+    A1, E1 = inst.A.col_block(0, n1), inst.E.col_block(0, n1)
+    quad = inst.Q.submatrix(range(n1), range(n1)).scale(s)
+    if q:
+        quad = quad + A1.transpose().matmul(A1).scale(2 * q)
+    n_aux, eq_tail = 0, ()
+    if pen is not None:
+        enc = pen_mod.epigraph_rows(pen, A1, RatVec.zeros(inst.m))
+        n_aux, eq_tail = enc.n_aux, tuple(enc.eq_rhs)
+    width = n1 + n_aux
 
-    The quadratic/linear data live over the full variable vector (plus,
-    when a norm penalty is given, its epigraph's auxiliary columns, the
-    last of which, w, costs ``w_weight``); fixing the integer part x2
-    leaves each constraint matrix unchanged and moves only the right-hand
-    sides and the objective, exactly.  Without continuous variables a
-    slice is the point x2 itself: ``row_minimum`` evaluates it in closed
-    form (w at its minimum is the penalty of the residual).  ``scan`` walks
-    the ``_slices`` table, QP slices started at its x1, but ``solve_ip``'s
+    def padded(M):  # M's rows over (x1, aux), zero on aux
+        return RatMat.hstack([M, RatMat.zeros(M.rows, n_aux)])
+
+    ineq, eq = [padded(E1)], [padded(A1)] if include_eq else []
+    if pen is not None:
+        ineq.append(enc.ineq_lhs)
+        eq.append(enc.eq_lhs)
+    return (A1, RatMat.vstack([padded(quad), RatMat.zeros(n_aux, width)], cols=width),
+            RatMat.vstack(ineq, cols=width), RatMat.vstack(eq, cols=width), eq_tail)
+
+
+class _SliceSolver:
+    """The slices of  min s f(x) + lam.(b - Ax) + rho psi(b - Ax)  over
+    E x <= f, x2 fixed: s = 1, or 0 with ``objective=False``.
+
+    A slice's program over (x1, aux) is built from its SliceRow and the
+    continuous block, which one instance builds once (``_x1_block``).
+    With q = rho for sql2 (0 otherwise) the constant is s f2 + lam.r2
+    + q |r2|^2, the quadratic s Q11 + 2q A1^T A1 and the x1 linear term
+    s g1 - A1^T (lam + 2q r2).  The inequalities are [E1 | 0] <= s2, then
+    for a norm penalty ``epigraph_rows(pen, A1, .)`` with
+    ``epigraph_rhs(pen, r2)``, on auxiliary columns whose last, w, costs
+    rho; ``include_eq`` (solve_ip) adds [A1 | 0] = r2.  rho = 0, or no
+    dualized rows, drops the penalty.  A point slice (n1 = 0) is
+    s f2 + lam.r2 + rho psi(r2), in closed form.  ``scan`` walks the
+    ``_slices`` table, QP slices started at its x1, but ``solve_ip``'s
     mixed slices (the table lacks the A rows) walk the raw box cold.
     """
 
-    def __init__(self, inst: MiqpInstance, Qfull: RatMat, cfull: RatVec,
-                 const: Fraction, pen: pen_mod.Penalty | None = None,
-                 w_weight: Fraction = _ZERO, include_eq: bool = False):
-        self.inst = inst
-        self.pen, self.w_weight, self.include_eq = pen, w_weight, include_eq
-        n1, n = inst.n1, inst.n
-        enc = pen_mod.epigraph_rows(pen, inst.A, inst.b) if pen is not None else None
-        n_aux = enc.n_aux if enc is not None else 0
-        idx1, idx2 = list(range(n1)), list(range(n1, n))
-        self.Q12 = Qfull.submatrix(idx1, idx2)
-        self.Q22 = Qfull.submatrix(idx2, idx2)
-        self.c1 = cfull[:n1]
-        self.c2 = cfull[n1:]
-        self.const = const
-        self.aux_cost = [_ZERO] * (n_aux - 1) + [w_weight] if n_aux else []
-        width = n1 + n_aux
-        self.Qsub = RatMat.vstack([
-            RatMat.hstack([Qfull.submatrix(idx1, idx1), RatMat.zeros(n1, n_aux)]),
-            RatMat.zeros(n_aux, width)], cols=width)
+    def __init__(self, inst: MiqpInstance, lam: RatVec, pen: pen_mod.Penalty | None,
+                 rho: Fraction, objective: bool = True, include_eq: bool = False):
+        if rho == 0 or inst.m == 0:
+            pen = None  # psi of an empty residual is 0
+        self.inst, self.lam, self.pen, self.rho = inst, lam, pen, rho
+        self.s, self.include_eq = (1 if objective else 0), include_eq
+        self.epigraph = pen is not None and pen.is_norm
+        self.q = rho if pen is not None and not self.epigraph else _ZERO
+        self.A1, self.Qsub, self.ineq_mat, self.eq_mat, self.eq_tail = _x1_block(
+            inst, pen if self.epigraph else None, self.s, self.q, include_eq)
         self.quad_free = self.Qsub.is_zero()
-        # rows over (x, aux): [E | 0] then the epigraph inequalities;
-        # [A | 0] (solve_ip only) then the epigraph equalities
-        ineq = [RatMat.hstack([inst.E, RatMat.zeros(inst.m2, n_aux)])]
-        ineq_rhs = list(inst.f)
-        eq = [RatMat.hstack([inst.A, RatMat.zeros(inst.m, n_aux)])] if include_eq \
-            else []
-        eq_rhs = list(inst.b) if include_eq else []
-        if enc is not None:
-            ineq.append(enc.ineq_lhs)
-            ineq_rhs += enc.ineq_rhs
-            eq.append(enc.eq_lhs)
-            eq_rhs += enc.eq_rhs
+        n_aux = self.Qsub.cols - inst.n1
+        self.aux_cost = [_ZERO] * (n_aux - 1) + [rho] if n_aux else []
 
-        def split(parts):
-            M = RatMat.vstack(parts, cols=n + n_aux)
-            return (RatMat.hstack([M.col_block(0, n1), M.col_block(n, n + n_aux)]),
-                    M.col_block(n1, n))
+    def constant(self, row: SliceRow) -> Fraction:
+        """The slice objective's x1-free part: s f2 + lam.r2 + q |r2|^2."""
+        value = self.lam.dot(row.r2) + (row.f2 if self.s else _ZERO)
+        return value + self.q * row.r2.dot(row.r2) if self.q else value
 
-        # the block matrices are x2-independent; base - X2 x2 is the rhs
-        self.ineq_mat, self.ineq_x2 = split(ineq)
-        self.eq_mat, self.eq_x2 = split(eq)
-        self.ineq_base, self.eq_base = RatVec(ineq_rhs), RatVec(eq_rhs)
+    def program(self, row: SliceRow) -> LinearProgram | QuadraticProgram:
+        """The row's slice program over (x1, aux), less ``constant``: a
+        LinearProgram when the quadratic is zero."""
+        g = row.g1.scale(self.s) - self.A1.tmatvec(self.lam + row.r2.scale(2 * self.q))
+        ineq_rhs = list(row.s2)
+        if self.epigraph:
+            ineq_rhs += pen_mod.epigraph_rhs(self.pen, row.r2)
+        data = (RatVec(list(g) + self.aux_cost), self.eq_mat,
+                RatVec((*row.r2, *self.eq_tail) if self.include_eq else self.eq_tail),
+                self.ineq_mat, RatVec(ineq_rhs))
+        return LinearProgram(*data) if self.quad_free else QuadraticProgram(self.Qsub, *data)
 
-    def _fixed_part(self, x2v: RatVec) -> Fraction:
-        """The objective's x2-only terms: const + c2.x2 + 1/2 x2^T Q22 x2."""
-        return self.const + self.c2.dot(x2v) + x2v.dot(self.Q22.matvec(x2v)) / 2
-
-    def solve(self, x2: tuple[int, ...],
-              x1: RatVec | None = None) -> tuple[SolveReport, Fraction]:
-        """Returns the block report and the x2-dependent constant term.
-
-        ``x1``, a point of the slice's rows E1 x1 <= f - E2 x2, starts a QP
-        slice there, its auxiliaries set by ``penalty.epigraph_start``;
-        without it, or for an LP slice, the solve is cold."""
-        x2v = RatVec(x2)
-        lin = RatVec(list(self.c1 + self.Q12.matvec(x2v)) + self.aux_cost)
-        ineq_rhs = self.ineq_base - self.ineq_x2.matvec(x2v)
-        eq_rhs = self.eq_base - self.eq_x2.matvec(x2v)
+    def solve(self, row: SliceRow) -> tuple[SolveReport, Fraction | None]:
+        """The row's slice report and its minimum, None unless OPTIMAL.  A QP
+        slice starts at the row's x1 (auxiliaries from
+        ``penalty.epigraph_start``); an LP slice, or a row without x1, is
+        solved cold.  A row with x1 has a nonempty slice: a report of
+        INFEASIBLE for it raises InternalInvariantError."""
+        program = self.program(row)
         if self.quad_free:
-            rep = solve_lp(LinearProgram(lin, self.eq_mat, eq_rhs,
-                                         self.ineq_mat, ineq_rhs))
+            rep = solve_lp(program)
         else:
-            start = x1
-            if x1 is not None and self.pen is not None:
-                resid = self.inst.b - self.inst.A.matvec(RatVec(list(x1) + list(x2)))
-                start = RatVec(list(x1) + list(pen_mod.epigraph_start(self.pen, resid)))
-            rep = solve_qp(QuadraticProgram(self.Qsub, lin, self.eq_mat, eq_rhs,
-                                            self.ineq_mat, ineq_rhs), start)
-        return rep, self._fixed_part(x2v)
+            start = row.x1
+            if start is not None and self.epigraph:
+                resid = row.r2 - self.A1.matvec(start)
+                start = RatVec([*start, *pen_mod.epigraph_start(self.pen, resid)])
+            rep = solve_qp(program, start)
+        if rep.status == INFEASIBLE and row.x1 is not None:
+            raise InternalInvariantError(f"table slice {row.x2} reported infeasible")
+        return rep, (rep.value + self.constant(row) if rep.status == OPTIMAL else None)
 
-    def slices(self) -> tuple:
+    def slices(self) -> tuple[SliceRow, ...]:
         """The instance's nonempty slices: its ``_slices`` table."""
         return _slices(self.inst)
 
-    def row_minimum(self, row: tuple) -> Fraction | None:
+    def row_minimum(self, row: SliceRow) -> Fraction | None:
         """The minimum over one ``slices()`` row's slice, or None when it is
         unbounded below: a point slice (n1 = 0) in closed form, else one
-        solve started at the row's x1.  The row's slice is nonempty, so a
-        report of INFEASIBLE raises InternalInvariantError."""
-        x2, x2v, resid, x1 = row
-        if self.inst.n1 == 0:
-            value = self._fixed_part(x2v)
-            if self.pen is not None:
-                value += self.w_weight * pen_mod.evaluate(self.pen, resid)
-            return value
-        rep, const = self.solve(x2, x1)
-        if rep.status == INFEASIBLE:
-            raise InternalInvariantError(f"table slice {x2} reported infeasible")
-        return None if rep.status == UNBOUNDED else rep.value + const
+        ``solve``."""
+        if self.inst.n1:
+            return self.solve(row)[1]
+        value = self.constant(row)
+        if self.epigraph:
+            value += self.rho * pen_mod.evaluate(self.pen, row.r2)
+        return value
 
     def scan(self):
-        """Feasible slices of the integer box in lexicographic order.
-
-        Yields ``(x2, report, value)`` where ``value`` is the slice minimum,
-        or None when the slice is unbounded below; infeasible slices are
-        skipped.  ``report`` is the slice's solver report, or None for a
-        point slice (n1 = 0), whose value is computed directly.  The slices
-        come from ``slices``, each QP slice started at its row's x1, except
-        ``solve_ip``'s on a mixed instance, which solve each box point cold.
-        """
-        if self.inst.n1 == 0:
-            for row in self.slices():
-                x2, _, resid, _ = row
-                if self.include_eq and not resid.is_zero():
-                    continue
-                yield x2, None, self.row_minimum(row)
-            return
-        if self.include_eq:
-            slices = ((x2, None) for x2 in integer_box(self.inst).assignments())
+        """Feasible slices of the integer box in lexicographic order, as
+        ``(x2, report, value)``: ``value`` is the slice minimum, None when
+        unbounded below, and ``report`` the solver's, None for a point
+        slice (n1 = 0).  The slices come from ``slices``, except
+        ``solve_ip``'s on a mixed instance: one cold solve per box point,
+        the infeasible ones skipped."""
+        inst = self.inst
+        if self.include_eq and inst.n1:
+            rows = _box_rows(inst, integer_box(inst).assignments())
         else:
-            slices = ((x2, x1) for x2, _, _, x1 in self.slices())
-        for x2, x1 in slices:
-            rep, const = self.solve(x2, x1)
-            if rep.status == INFEASIBLE:
+            rows = self.slices()
+        for row in rows:
+            if inst.n1 == 0:
+                if not self.include_eq or row.r2.is_zero():
+                    yield row.x2, None, self.row_minimum(row)
                 continue
-            yield x2, rep, (None if rep.status == UNBOUNDED else rep.value + const)
+            rep, value = self.solve(row)
+            if rep.status != INFEASIBLE:
+                yield row.x2, rep, value
 
     def lift(self, x2: tuple[int, ...], report: SolveReport | None) -> RatVec:
         """Full primal point (x1, x2) of a slice from ``scan``: x2 itself
@@ -293,20 +319,10 @@ class _SliceSolver:
         return RatVec(list(report.x[: self.inst.n1]) + list(x2))
 
 
-def penalized_slicer(inst: MiqpInstance, Q: RatMat, c: RatVec, const: Fraction,
-                     pen: pen_mod.Penalty, rho: Fraction) -> _SliceSolver:
-    """Slices of  min 1/2 x^T Q x + c^T x + const + rho * psi(b - Ax)
-    over E x <= f: no penalty term at rho = 0 or without dualized rows
-    (psi of an empty residual is 0), the penalty absorbed into the
-    quadratic for sql2, epigraph rows on auxiliary columns otherwise."""
-    if rho == 0 or inst.m == 0:
-        return _SliceSolver(inst, Q, c, const)
-    if pen.kind == pen_mod.SQL2:
-        At = inst.A.transpose()
-        return _SliceSolver(inst, Q + At.matmul(inst.A).scale(2 * rho),
-                            c - At.matvec(inst.b).scale(2 * rho),
-                            const + rho * inst.b.dot(inst.b))
-    return _SliceSolver(inst, Q, c, const, pen, rho)
+def penalized_slicer(inst: MiqpInstance, lam: RatVec, pen: pen_mod.Penalty,
+                     rho: Fraction, objective: bool = True) -> _SliceSolver:
+    """The relaxation's slicer at (lam, rho); objective=False drops f(x)."""
+    return _SliceSolver(inst, lam, pen, rho, objective)
 
 
 @_per_instance
@@ -316,7 +332,7 @@ def solve_ip(inst: MiqpInstance) -> SolveReport:
     Ties between integer assignments are broken toward the
     lexicographically smallest one.
     """
-    slicer = _SliceSolver(inst, inst.Q, inst.c, _ZERO, include_eq=True)
+    slicer = _SliceSolver(inst, RatVec.zeros(inst.m), None, _ZERO, include_eq=True)
     best_val = None
     best_x = None
     for x2, rep, total in slicer.scan():
@@ -373,8 +389,7 @@ def eval_lr_plus(inst: MiqpInstance, lam: RatVec, rho,
         raise ValueError("rho must be nonnegative")
     if pen.dim != inst.m:
         raise DimMismatchError(f"penalty dim {pen.dim} vs {inst.m} rows")
-    chat = inst.c - inst.A.tmatvec(lam) if inst.m else inst.c
-    slicer = penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b), pen, rho)
+    slicer = penalized_slicer(inst, lam, pen, rho)
     best_val = None
     best_x = None
     best_x2 = None

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from . import penalty as pen_mod
 from .ald import (
@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedKindError,
 )
 from .instance import MiqpInstance
-from .numkit import RatMat, RatVec, ceil_rat, ceil_sqrt, rat, to_wire
+from .numkit import RatVec, ceil_rat, ceil_sqrt, rat, to_wire
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -163,13 +163,12 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty) -> RhoCertificate:
     """
     ip = ground_truth(inst)
     duals = lambda_bar(inst)
-    n = inst.n
     A1, _ = inst.split_cols(inst.A)
     continuous_acts = not A1.is_zero()
 
     # per-assignment exact minimum of psi(b - Ax) over the continuous slice
-    slicer = penalized_slicer(inst, RatMat.zeros(n, n), RatVec.zeros(n),
-                              _ZERO, pen, _ONE)
+    slicer = penalized_slicer(inst, RatVec.zeros(inst.m), pen, _ONE,
+                              objective=False)
     candidates: list[Fraction] = []
     for x2, _, vmin in slicer.scan():
         if vmin is None:
@@ -187,43 +186,30 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty) -> RhoCertificate:
     return _issue(inst, duals.lambda_bar, rho_star, pen, SUFFICIENT, evidence)
 
 
-def _relaxation_slicers(inst: MiqpInstance, lam: RatVec, pen: pen_mod.Penalty):
-    """The relaxation's slicer at (lam, rho) as a function of rho, each
-    built once."""
-    chat = inst.c - inst.A.tmatvec(lam)
-    const = lam.dot(inst.b)
-    return cache(lambda rho: penalized_slicer(inst, inst.Q, chat, const, pen, rho))
-
-
-def _dual_probe(inst: MiqpInstance, lam: RatVec, slicer,
-                x2: tuple[int, ...], rho: Fraction) -> DualAssignmentRecord:
-    """Solve one nonempty slice's max-norm subproblem at weight rho, cold
+def _dual_probe(inst: MiqpInstance, lam: RatVec, blocks: tuple, slicer,
+                row, rho: Fraction) -> DualAssignmentRecord:
+    """Solve one table row's max-norm subproblem at weight rho, cold
     (``slicer`` is the relaxation's slicer at (lam, rho)), and extract the
     exact dual point.  The epigraph rows hold for a large enough w, so a
     report other than OPTIMAL raises InternalInvariantError; the record's
     dual objective equals the subproblem value by strong duality, checked
-    exactly along with the multiplier identities.
+    exactly along with the multiplier identities, from the instance's
+    ``blocks`` (Q11, Q12, Q22, A1, A2, E1, E2, c1, c2), not from the row.
     """
-    rep, const = slicer.solve(x2)
+    rep, value = slicer.solve(row._replace(x1=None))
     if rep.status != OPTIMAL:
         raise InternalInvariantError(
-            f"slice {x2} subproblem {rep.status} at the optimal multipliers"
+            f"slice {row.x2} subproblem {rep.status} at the optimal multipliers"
         )
-    value = rep.value + const
     m, m2, n1 = inst.m, inst.m2, inst.n1
     mu = rep.ineq_duals
     y3 = RatVec(mu[:m2])
     y1 = RatVec(mu[m2 + 2 * i] for i in range(m))
     y2 = RatVec(mu[m2 + 2 * i + 1] for i in range(m))
     zeros1 = RatVec.zeros(n1)
-    x1 = RatVec(rep.x[:n1])
-    nu = -x1
-    x2v = RatVec(x2)
-
-    Q11, Q12, Q22 = inst.q_blocks()
-    A1, A2 = inst.split_cols(inst.A)
-    E1, E2 = inst.split_cols(inst.E)
-    c1, c2 = inst.c_split()
+    nu = -RatVec(rep.x[:n1])
+    x2v = RatVec(row.x2)
+    Q11, Q12, Q22, A1, A2, E1, E2, c1, c2 = blocks
 
     if sum(y1, _ZERO) + sum(y2, _ZERO) != rho:
         raise InternalInvariantError("residual-row multipliers do not sum to rho")
@@ -243,7 +229,7 @@ def _dual_probe(inst: MiqpInstance, lam: RatVec, slicer,
     if dual_value != value:
         raise InternalInvariantError("dual objective differs from primal value")
     return DualAssignmentRecord(
-        assignment=tuple(x2), nu=nu, y1=y1, y2=y2, y3=y3,
+        assignment=tuple(row.x2), nu=nu, y1=y1, y2=y2, y3=y3,
         y4=zeros1, y5=zeros1, rho_x2=rho, dual_value=dual_value,
     )
 
@@ -262,15 +248,17 @@ def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
     if inst.m == 0:
         return _issue(inst, lam, _ONE, pen_linf, DUAL_LINF, DualLinfEvidence(()))
 
-    slicer = _relaxation_slicers(inst, lam, pen_linf)
+    slicer = cache(partial(penalized_slicer, inst, lam, pen_linf))
+    blocks = (*inst.q_blocks(), *inst.split_cols(inst.A),
+              *inst.split_cols(inst.E), *inst.c_split())
 
-    def probe(x2, rho):
-        return _dual_probe(inst, lam, slicer(rho), x2, rho)
+    def probe(row, rho):
+        return _dual_probe(inst, lam, blocks, slicer(rho), row, rho)
 
     records: list[DualAssignmentRecord] = []
     current = _ONE
-    for x2, *_ in slicer(current).slices():
-        rec = probe(x2, current)
+    for row in slicer(current).slices():
+        rec = probe(row, current)
         if rec.dual_value >= z_ip:
             records.append(rec)
             continue
@@ -279,15 +267,15 @@ def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
         while True:
             if hi > _BISECTION_CAP:
                 raise BisectionCapError(
-                    f"no certifying weight below {_BISECTION_CAP} for {x2}"
+                    f"no certifying weight below {_BISECTION_CAP} for {row.x2}"
                 )
-            rec_hi = probe(x2, hi)
+            rec_hi = probe(row, hi)
             if rec_hi.dual_value >= z_ip:
                 break
             lo, hi = hi, 2 * hi
         while hi - lo > 1:
             mid = (lo + hi) / 2
-            rec_mid = probe(x2, mid)
+            rec_mid = probe(row, mid)
             if rec_mid.dual_value >= z_ip:
                 hi, rec_hi = mid, rec_mid
             else:
@@ -388,7 +376,7 @@ def rho_bisect_empirical(inst: MiqpInstance, lam: RatVec,
     while width > EMPIRICAL_WIDTH:
         halvings, width = halvings + 1, width / 2
     top = 2 ** halvings
-    slicer = _relaxation_slicers(inst, lam, pen)
+    slicer = cache(partial(penalized_slicer, inst, lam, pen))
 
     def passes(row, k: int) -> bool:
         value = slicer(rho_max * k / top).row_minimum(row)

@@ -128,9 +128,10 @@ class EpigraphEncoding:
 
 
 def epigraph_rows(p: Penalty, A: RatMat, b: RatVec) -> EpigraphEncoding:
-    """Linear encoding of the penalty epigraph for the norm kinds."""
-    if p.kind == SQL2:
-        raise UnsupportedKindError("sql2 has no polyhedral epigraph")
+    """Linear encoding of the penalty epigraph for the norm kinds: two
+    inequality rows per residual coordinate, as ``epigraph_rhs`` orders
+    them."""
+    rhs = epigraph_rhs(p, b)
     if A.rows != p.dim or len(b) != p.dim:
         raise DimMismatchError("epigraph_rows: residual dimension mismatch")
     n = A.cols
@@ -138,41 +139,36 @@ def epigraph_rows(p: Penalty, A: RatMat, b: RatVec) -> EpigraphEncoding:
 
     if p.kind in (LINF, SCALED_LINF):
         scale = p.alpha if p.kind == SCALED_LINF else _ONE
-        width = n + 1
-        rows, rhs = [], []
+        rows = []
         for i in range(m):
             arow = A.row(i)
             rows.append([scale * v for v in arow] + [-_ONE])
-            rhs.append(scale * b[i])
             rows.append([-scale * v for v in arow] + [-_ONE])
-            rhs.append(-scale * b[i])
-        return EpigraphEncoding(
-            1,
-            RatMat(rows, cols=width),
-            RatVec(rhs),
-            RatMat([], cols=width),
-            RatVec([]),
-        )
+        return EpigraphEncoding(1, RatMat(rows, cols=n + 1), rhs,
+                                RatMat([], cols=n + 1), RatVec([]))
 
     # l1: one auxiliary t_i per residual coordinate, then w = sum t_i
     width = n + m + 1
-    rows, rhs = [], []
+    rows = []
     for i in range(m):
         arow = list(A.row(i))
         t_cols = [_ZERO] * (m + 1)
         t_cols[i] = -_ONE
         rows.append(arow + t_cols)
-        rhs.append(b[i])
         rows.append([-v for v in arow] + t_cols)
-        rhs.append(-b[i])
     eq_row = [_ZERO] * n + [_ONE] * m + [-_ONE]
-    return EpigraphEncoding(
-        m + 1,
-        RatMat(rows, cols=width),
-        RatVec(rhs),
-        RatMat([eq_row], cols=width),
-        RatVec([_ZERO]),
-    )
+    return EpigraphEncoding(m + 1, RatMat(rows, cols=width), rhs,
+                            RatMat([eq_row], cols=width), RatVec([_ZERO]))
+
+
+def epigraph_rhs(p: Penalty, r: RatVec) -> RatVec:
+    """Right-hand side of ``epigraph_rows``' inequalities for the residual
+    r = b - Ax: (s r_i, -s r_i) per coordinate i, s the slinf scale (1 for
+    the other norm kinds)."""
+    if p.kind == SQL2:
+        raise UnsupportedKindError("sql2 has no polyhedral epigraph")
+    scale = p.alpha if p.kind == SCALED_LINF else _ONE
+    return RatVec(v for u in r for v in (scale * u, -scale * u))
 
 
 def epigraph_start(p: Penalty, r: RatVec) -> RatVec:

@@ -17,8 +17,18 @@ from aldual.ald import (
     sweep_row_json,
     violation_bound_check,
 )
-from aldual.convexsolve import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
-from aldual.errors import InfeasibleDomainError, UnboundedIntegerVarError
+from aldual.convexsolve import (
+    INFEASIBLE,
+    OPTIMAL,
+    LinearProgram,
+    SolveReport,
+    solve_lp,
+)
+from aldual.errors import (
+    InfeasibleDomainError,
+    InternalInvariantError,
+    UnboundedIntegerVarError,
+)
 from aldual.exactrho import rho_dual_linf, rho_sufficient
 from aldual.instance import GenConfig, MiqpInstance, generate
 from aldual.numkit import RatMat, RatVec, parse_rat
@@ -397,11 +407,12 @@ _POINT_SPECS = ("linf", "l1", "slinf:3/2", "sql2")
 def _lp_route(slicer):
     """Slice values by one exact LP/QP per box point, infeasible ones left out."""
     values = {}
-    for x2 in integer_box(slicer.inst).assignments():
-        rep, const = slicer.solve(x2)
+    inst = slicer.inst
+    for row in ald._box_rows(inst, integer_box(inst).assignments()):
+        rep, value = slicer.solve(row)
         if rep.status != INFEASIBLE:
             assert rep.status == OPTIMAL
-            values[x2] = rep.value + const
+            values[row.x2] = value
     return values
 
 
@@ -417,12 +428,11 @@ def _point_route(slicer):
 
 def _relax_slicers(inst, lam):
     """eval_lr_plus's slicers at lam: rho 0 once, then each kind at rho 1, 4."""
-    chat = inst.c - inst.A.tmatvec(lam)
     cases = [(parse_penalty("linf", inst.m), 0)] + [
         (parse_penalty(spec, inst.m), rho)
         for spec in _POINT_SPECS for rho in (1, 4)]
-    return [ald.penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b), pen,
-                                 Fraction(rho)) for pen, rho in cases]
+    return [ald.penalized_slicer(inst, lam, pen, Fraction(rho))
+            for pen, rho in cases]
 
 
 def _point_cases():
@@ -435,7 +445,8 @@ def _point_cases():
 def test_point_slices_equal_lp_route(idx):
     inst = _point_cases()[idx]
     assert inst.n1 == 0
-    slicers = [ald._SliceSolver(inst, inst.Q, inst.c, Fraction(0), include_eq=True)]
+    slicers = [ald._SliceSolver(inst, RatVec.zeros(inst.m), None, Fraction(0),
+                                include_eq=True)]
     for lam in (lambda_bar(inst).lambda_bar, RatVec.zeros(inst.m)):
         slicers += _relax_slicers(inst, lam)
     for slicer in slicers:
@@ -488,14 +499,14 @@ def _cold_route(slicer, pen):
     """eval_lr_plus's value, argmin and violation from one cold solve per
     box point, and the points whose slice is infeasible."""
     inst, best, empty = slicer.inst, None, []
-    for x2 in integer_box(inst).assignments():
-        rep, const = slicer.solve(x2)
+    for row in ald._box_rows(inst, integer_box(inst).assignments()):
+        rep, value = slicer.solve(row)
         if rep.status == INFEASIBLE:
-            empty.append(x2)
+            empty.append(row.x2)
             continue
         assert rep.status == OPTIMAL
-        if best is None or rep.value + const < best[0]:
-            best = (rep.value + const, slicer.lift(x2, rep))
+        if best is None or value < best[0]:
+            best = (value, slicer.lift(row.x2, rep))
     value, x = best
     return (value, x, evaluate(pen, inst.b - inst.A.matvec(x))), empty
 
@@ -518,15 +529,13 @@ def test_empty_slices_take_no_solve(solver_calls):
     empty = _empty_slices(inst)
     assert empty == [(1, 2), (2, 1), (2, 2)]
     lam = lambda_bar(inst).lambda_bar
-    chat = inst.c - inst.A.tmatvec(lam)
     for spec in _POINT_SPECS:
         pen = parse_penalty(spec, inst.m)
         for rho in (0, 1, 4):
             solver_calls.update(lp=0, qp=0)
             got = eval_lr_plus(inst, lam, rho, pen)
             assert solver_calls == {"lp": 0, "qp": len(table)}
-            slicer = ald.penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b),
-                                          pen, Fraction(rho))
+            slicer = ald.penalized_slicer(inst, lam, pen, Fraction(rho))
             assert _cold_route(slicer, pen) == (
                 (got.value, got.argmin_x, got.violation), empty)
 
@@ -537,7 +546,6 @@ def test_lp_slices_skip_empty_slices(solver_calls):
     inst = _coupled_lp_instance()
     integer_box(inst)
     lam = lambda_bar(inst).lambda_bar
-    chat = inst.c - inst.A.tmatvec(lam)
     table_lps = 9
     for spec in ("linf", "l1", "slinf:3/2"):
         pen = parse_penalty(spec, inst.m)
@@ -546,11 +554,34 @@ def test_lp_slices_skip_empty_slices(solver_calls):
             got = eval_lr_plus(inst, lam, rho, pen)
             assert solver_calls == {"lp": table_lps + 6, "qp": 0}
             table_lps = 0
-            slicer = ald.penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b),
-                                          pen, Fraction(rho))
+            slicer = ald.penalized_slicer(inst, lam, pen, Fraction(rho))
             assert slicer.quad_free
             assert _cold_route(slicer, pen) == (
                 (got.value, got.argmin_x, got.violation), [(1, 2), (2, 1), (2, 2)])
+
+
+def test_infeasible_table_slice_is_an_internal_error(monkeypatch):
+    # the table proved every listed slice nonempty: a report of INFEASIBLE
+    # for one is a solver fault, not a slice to skip (skipping the argmin
+    # slice (0, 0) would return -1/2 at (0, 1)); only solve_ip's raw box
+    # skips infeasible slices
+    inst = _coupled_lp_instance()
+    lam = lambda_bar(inst).lambda_bar
+    pen = parse_penalty("linf", inst.m)
+    got = eval_lr_plus(inst, lam, 0, pen)
+    assert (got.value, got.assignment) == (-1, (0, 0))
+    row = ald._slices(inst)[0]
+    assert row.x2 == (0, 0)
+    target = ald.penalized_slicer(inst, lam, pen, Fraction(0)).program(row)
+    solve = ald.solve_lp
+
+    def failing(lp):
+        return SolveReport(status=INFEASIBLE) if lp == target else solve(lp)
+
+    monkeypatch.setattr(ald, "solve_lp", failing)
+    with pytest.raises(InternalInvariantError, match=r"\(0, 0\)"):
+        eval_lr_plus(inst, lam, 0, pen)
+    assert solve_ip(inst).status == OPTIMAL
 
 
 @pytest.mark.parametrize("make, calls", [
@@ -577,6 +608,8 @@ def test_slice_table_lists_the_nonempty_slices(idx):
     inst = [*grid_corpus(), _coupled_instance()][idx]
     E1, E2 = inst.split_cols(inst.E)
     A2 = inst.split_cols(inst.A)[1]
+    Q12 = inst.q_blocks()[1]
+    c1, c2 = inst.c_split()
     nonempty = []
     for x2 in integer_box(inst).assignments():
         rhs = inst.f - E2.matvec(RatVec(x2))
@@ -590,10 +623,13 @@ def test_slice_table_lists_the_nonempty_slices(idx):
             nonempty.append(x2)
     table = ald._slices(inst)
     assert [x2 for x2, *_ in table] == nonempty
-    for x2, x2v, r2, x1 in table:
-        assert x2v == RatVec(x2) and r2 == inst.b - A2.matvec(x2v)
+    for x2, r2, s2, f2, g1, x1 in table:
+        x2v = RatVec(x2)
+        assert r2 == inst.b - A2.matvec(x2v) and s2 == inst.f - E2.matvec(x2v)
+        assert f2 == inst.objective_value(RatVec([0] * inst.n1 + list(x2)))
+        assert g1 == c1 + Q12.matvec(x2v)
         assert len(x1) == inst.n1
-        assert all(v <= f for v, f in zip(E1.matvec(x1), inst.f - E2.matvec(x2v)))
+        assert all(v <= s for v, s in zip(E1.matvec(x1), s2))
 
 
 def _no_variables(b, f):

@@ -336,11 +336,8 @@ def _own_threshold(inst, lam, pen, z_ip, row, rho_max, top):
     """A slice's own smallest passing index on the grid rho_max * k / top,
     found apart from the route: a bisection of that slice alone over
     [0, top], where it must pass."""
-    chat = inst.c - inst.A.tmatvec(lam)
-
     def passes(k):
-        slicer = penalized_slicer(inst, inst.Q, chat, lam.dot(inst.b), pen,
-                                  rho_max * k / top)
+        slicer = penalized_slicer(inst, lam, pen, rho_max * k / top)
         value = slicer.row_minimum(row)
         return value is not None and value >= z_ip
 
@@ -359,7 +356,7 @@ def test_empirical_solves_each_slice_once_plus_its_raises(solver_calls):
     lam = lambda_bar(inst).lambda_bar
     pen = Penalty(LINF, inst.m)
     z_ip = solve_ip(inst).value
-    rows = penalized_slicer(inst, inst.Q, inst.c, _ZERO, pen, _ZERO).slices()
+    rows = penalized_slicer(inst, lam, pen, _ZERO).slices()
     rho_max, halvings = Fraction(1), 10  # 1 / 2**10 is the width
     solver_calls.update(lp=0, qp=0)
     bound = rho_bisect_empirical(inst, lam, pen, rho_max)

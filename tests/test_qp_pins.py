@@ -6,20 +6,25 @@ the one recorded in ``tests/qp_pins.json``:
 * seeded random QPs, some with a singular objective, a duplicated equality
   row or an unbounded objective;
 * the continuous relaxation of every grid-corpus instance;
-* the slice QPs ``eval_lr_plus`` solves at ``lambda_bar`` with rho = 1 for
-  linf, l1 and sql2 on two mixed grid instances, where the multipliers of
-  degenerate slices are otherwise unpinned (the goldens see only
-  pure-integer slices).  ``eval_lr_plus`` starts these QPs warm; the pin
-  is the cold report, and the warm one must have its status, value and x.
+* the slice programs of two mixed grid instances, where the multipliers
+  of degenerate slices are otherwise unpinned (the goldens see only
+  pure-integer slices): the QPs ``eval_lr_plus`` solves at ``lambda_bar``
+  with rho = 1 for linf, l1 and sql2, and with slinf:3/2 at rho 0 and
+  1/2; ``solve_ip``'s; and ``rho_sufficient``'s for the four kinds, LPs
+  included.  A QP started warm is pinned by its cold report, and the
+  warm one must have its status, value and x.
 
-Each pin also holds a digest of the QP, so a change in how a QP is built
-shows as a changed digest rather than as a changed report.  To record the
-pins again, only when a change alters the reports on purpose and says so::
+Each pin also holds a digest of the program, so a change in how a program
+is built shows as a changed digest rather than as a changed report.  To
+record the pins again, only when a change alters the reports on purpose
+and says so (naming groups records only those; the others keep their
+bytes)::
 
-    PYTHONPATH=src python tests/test_qp_pins.py
+    PYTHONPATH=src python tests/test_qp_pins.py [random] [relaxation] [slice]
 """
 
 import hashlib
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -28,8 +33,9 @@ from random import Random
 
 import pytest
 
-from aldual import ald
+from aldual import ald, exactrho
 from aldual.convexsolve import UNBOUNDED, QuadraticProgram, solve_qp
+from aldual.errors import DeltaZeroError
 from aldual.instance import GenConfig, generate
 from aldual.numkit import RatMat, RatVec, solve_linear, to_wire
 from aldual.penalty import parse_penalty
@@ -42,6 +48,7 @@ RANDOM_COUNT = 300
 # grid shapes whose slice QPs are pinned: m = 2 with an E2 row
 SLICE_SHAPES = [(2, 2, 2, 1, 2, 1100), (3, 1, 2, 1, 2, 1900)]
 SLICE_KINDS = ("linf", "l1", "sql2")
+SUFFICIENT_KINDS = ("linf", "l1", "slinf:3/2", "sql2")
 
 
 def _rand_rat(rng, mag):
@@ -95,30 +102,67 @@ def relaxation_pins() -> dict:
             for shape, inst in zip(GRID_SHAPES, grid_corpus())}
 
 
+def _record(pins: dict, label: str, run, solvers=("solve_qp",),
+            numbers=None) -> None:
+    """Run ``run()`` with ald's ``solvers`` replaced by recorders: each
+    program solved is pinned, in solve order, as ``label #i``, i taken from
+    ``numbers`` (0, 1, ... by default)."""
+    originals = {name: getattr(ald, name) for name in solvers}
+    numbers = itertools.count() if numbers is None else numbers
+
+    def recorder(solve):
+        def record(program, x0=None):
+            report = solve(program)
+            pins[f"{label} #{next(numbers)}"] = _pin(program, report)
+            if x0 is not None:
+                warm = solve(program, x0)
+                assert (warm.status, warm.value, warm.x) == \
+                    (report.status, report.value, report.x)
+            return report
+        return record
+
+    try:
+        for name, solve in originals.items():
+            setattr(ald, name, recorder(solve))
+        run()
+    finally:
+        for name, solve in originals.items():
+            setattr(ald, name, solve)
+
+
+def _sufficient(inst, spec):
+    try:
+        exactrho.rho_sufficient(inst, parse_penalty(spec, inst.m))
+    except DeltaZeroError:
+        pass
+
+
 def slice_pins() -> dict:
-    """Slice QPs of eval_lr_plus at lambda_bar, rho = 1, in solve order."""
+    """Slice programs of each SLICE_SHAPES instance, in solve order: the
+    relaxation's at lambda_bar (rho = 1 per kind, its table built on the
+    way, then slinf:3/2 at rho 0 and 1/2), solve_ip's and rho_sufficient's.
+    The pins at rho = 1 are numbered across the kinds of one shape."""
     pins = {}
-    solve = ald.solve_qp
     for shape in SLICE_SHAPES:
         n1, n2, m, m2, mag, seed = shape
         inst = generate(GenConfig(n1, n2, m, m2, magnitude=mag, seed=seed))
         lam = ald.lambda_bar(inst).lambda_bar
-        first = len(pins)
-        for kind in SLICE_KINDS:
-            def record(qp, x0=None):
-                report = solve(qp)
-                pins[f"slice {shape} {kind} #{len(pins) - first}"] = _pin(qp, report)
-                if x0 is not None:
-                    warm = solve(qp, x0)
-                    assert (warm.status, warm.value, warm.x) == \
-                        (report.status, report.value, report.x)
-                return report
+        label, both = f"slice {shape}", ("solve_qp", "solve_lp")
 
-            ald.solve_qp = record
-            try:
-                ald.eval_lr_plus(inst, lam, 1, parse_penalty(kind, inst.m))
-            finally:
-                ald.solve_qp = solve
+        def relax(rho, spec):
+            return lambda: ald.eval_lr_plus(inst, lam, rho,
+                                            parse_penalty(spec, inst.m))
+
+        numbers = itertools.count()
+        for kind in SLICE_KINDS:
+            _record(pins, f"{label} {kind}", relax(1, kind), numbers=numbers)
+        for rho in (0, Fraction(1, 2)):
+            _record(pins, f"{label} slinf:3/2 rho {rho}", relax(rho, "slinf:3/2"),
+                    both)
+        _record(pins, f"{label} solve_ip", lambda: ald.solve_ip(inst), both)
+        for spec in SUFFICIENT_KINDS:
+            _record(pins, f"{label} sufficient {spec}",
+                    lambda: _sufficient(inst, spec), both)
     return pins
 
 
@@ -173,9 +217,15 @@ def test_random_pins_cover_the_hard_cases():
 
 
 if __name__ == "__main__":
-    recorded = {}
-    for make in GROUPS.values():
-        recorded.update(make())
-    PINS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n",
+    groups = sys.argv[1:] or sorted(GROUPS)
+    unknown = set(groups) - set(GROUPS)
+    if unknown:
+        sys.exit(f"unknown groups {sorted(unknown)}; choose from {sorted(GROUPS)}")
+    doc = json.loads(PINS.read_text(encoding="utf-8")) if PINS.exists() else {}
+    kept = {k: v for k, v in doc.items() if k.split(" ", 1)[0] not in groups}
+    for group in groups:
+        kept.update(GROUPS[group]())
+    PINS.write_text(json.dumps(kept, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
-    print(f"recorded {len(recorded)} pins in {PINS}", file=sys.stderr)
+    print(f"recorded {len(kept)} pins ({', '.join(groups)}) in {PINS}",
+          file=sys.stderr)
