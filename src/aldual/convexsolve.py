@@ -13,7 +13,12 @@ feasible recession ray along which the objective strictly decreases.
 The LP solver is a two-phase primal simplex with Bland's rule; the QP
 solver is a primal active-set method whose working set stays linearly
 independent, also with least-index (Bland) selection, so multipliers are
-unique and anti-cycling is principled rather than perturbation-based.
+unique and anti-cycling is principled rather than perturbation-based.  A
+QP given a start point begins with the independent rows active there in
+its working set (Nocedal and Wright, Numerical Optimization, 16.5), and
+carries its inequality slacks from step to step instead of recomputing
+them; the KKT check of the result still recomputes everything from the
+program.
 """
 
 from __future__ import annotations
@@ -333,8 +338,13 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None) -> SolveReport:
     The method starts at ``x0`` when it is given and at the point of a
     phase-1 LP otherwise.  A start is checked, never trusted: a wrong
     length raises DimMismatchError, and a point off the equality rows or
-    outside an inequality row raises InternalInvariantError.  The working
-    set starts empty either way.
+    outside an inequality row raises InternalInvariantError.  The slacks
+    ``h - G x`` of that check are computed once and then carried: each step
+    ``x += alpha d`` lowers them by ``alpha G d``.  From ``x0`` the working
+    set starts on the rows active there, taken greedily in row order when
+    independent of the equality rows and of the rows already taken (see
+    :func:`_active_rows`); from the phase-1 point it starts empty, so the
+    multipliers of a cold solve do not depend on which vertex the LP found.
 
     Each iteration makes one solve_linear call on the working set's KKT
     system
@@ -362,15 +372,21 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None) -> SolveReport:
             return SolveReport(status=INFEASIBLE)
         x = feas.x
     else:
-        _check_start(qp, x0)
+        if len(x0) != n:
+            raise DimMismatchError(f"start point of length {len(x0)} vs "
+                                   f"{n} variables")
+        if qp.eq_lhs.rows and qp.eq_lhs.matvec(x0) != qp.eq_rhs:
+            raise InternalInvariantError("start point violates an equality row")
         x = x0
 
     Q_rows = qp.Qobj.row_list()
     eq_rows = qp.eq_lhs.row_list()
     G_rows = qp.ineq_lhs.row_list()
-    h = qp.ineq_rhs
     m_eq, m_in = len(eq_rows), len(G_rows)
-    working: list[int] = []
+    slack = [hi - _row_dot(row, x) for row, hi in zip(G_rows, qp.ineq_rhs)]
+    if any(si < 0 for si in slack):
+        raise InternalInvariantError("start point violates an inequality row")
+    working = [] if x0 is None else _active_rows(eq_rows, G_rows, slack)
 
     max_iters = 500 + 30 * (n + m_in + m_eq) ** 2
     for _ in range(max_iters):
@@ -394,12 +410,15 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None) -> SolveReport:
             d, cap = sol.x[:n], _ONE
 
         if not d.is_zero():
-            blocker, alpha = _ratio_test(G_rows, h, x, d, working, cap)
+            blocker, alpha, gd = _ratio_test(G_rows, slack, d, working, cap)
             if blocker is None and cap is None:
                 report = SolveReport(status=UNBOUNDED, x=x, ray=d)
                 _verify_ray(qp.cobj, qp.eq_lhs, qp.ineq_lhs, d, qp.Qobj)
                 return report
             x = x + d.scale(alpha)
+            if alpha:
+                for i, gdi in gd.items():
+                    slack[i] -= alpha * gdi
             if blocker is not None:
                 working = sorted(working + [blocker])
             continue
@@ -423,32 +442,72 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None) -> SolveReport:
     raise InternalInvariantError("active-set iteration cap exceeded")
 
 
-def _check_start(qp: QuadraticProgram, x0: RatVec) -> None:
-    if len(x0) != len(qp.cobj):
-        raise DimMismatchError(f"start point of length {len(x0)} vs "
-                               f"{len(qp.cobj)} variables")
-    if qp.eq_lhs.rows and qp.eq_lhs.matvec(x0) != qp.eq_rhs:
-        raise InternalInvariantError("start point violates an equality row")
-    if qp.ineq_lhs.rows and any(
-            a > r for a, r in zip(qp.ineq_lhs.matvec(x0), qp.ineq_rhs)):
-        raise InternalInvariantError("start point violates an inequality row")
+def _row_dot(row: list[Fraction], v) -> Fraction:
+    """Exact row . v over the row's nonzero entries."""
+    return sum((a * b for a, b in zip(row, v) if a), _ZERO)
 
 
-def _ratio_test(G_rows: list[list[Fraction]], h: RatVec, x: RatVec,
+def _active_rows(eq_rows: list[list[Fraction]], G_rows: list[list[Fraction]],
+                 slack: list[Fraction]) -> list[int]:
+    """The inequality rows at zero slack, kept while linearly independent.
+
+    Rows are taken greedily in row order: a row enters when it is not in
+    the span of the equality rows and of the rows taken before it.  The
+    span is kept as an echelon basis, one pivot column per vector; a row
+    reduced to zero against it is dependent and left out.
+    """
+    active = [i for i, si in enumerate(slack) if si == 0]
+    if not active:
+        return []
+    basis: list[tuple[int, list[Fraction]]] = []
+
+    def enters(row: list[Fraction]) -> bool:
+        v = list(row)
+        for p, b in basis:
+            if v[p]:
+                f = v[p] / b[p]
+                v = [vi - f * bi if bi else vi for vi, bi in zip(v, b)]
+        p = next((j for j, vj in enumerate(v) if vj), None)
+        if p is not None:
+            basis.append((p, v))
+        return p is not None
+
+    n = len(G_rows[0])
+    for row in eq_rows:
+        enters(row)
+    working = []
+    for i in active:
+        if len(basis) == n:
+            break
+        if enters(G_rows[i]):
+            working.append(i)
+    return working
+
+
+def _ratio_test(G_rows: list[list[Fraction]], slack: list[Fraction],
                 d: RatVec, working: list[int], cap: Fraction | None):
-    """Largest feasible step along d, capped; smallest blocking row wins ties."""
+    """Largest feasible step along d, capped; smallest blocking row wins ties.
+
+    Returns the blocking row (None when the cap or nothing blocks), the
+    step length and ``G_i d`` for every non-working row where it is
+    nonzero, so the caller can carry the slacks past the step.  A working
+    row has ``G_i d = 0``: d lies in the null space of the working rows.
+    """
     blocker = None
     alpha = cap
     wset = set(working)
+    gd = {}
     for i, row in enumerate(G_rows):
         if i in wset:
             continue
-        gd = sum(a * b for a, b in zip(row, d) if a)
-        if gd > 0:
-            ratio = (h[i] - sum(a * b for a, b in zip(row, x) if a)) / gd
-            if alpha is None or ratio < alpha:
-                alpha, blocker = ratio, i
-    return blocker, alpha
+        gdi = _row_dot(row, d)
+        if gdi:
+            gd[i] = gdi
+            if gdi > 0:
+                ratio = slack[i] / gdi
+                if alpha is None or ratio < alpha:
+                    alpha, blocker = ratio, i
+    return blocker, alpha, gd
 
 
 def check_boundedness(inst) -> BoundednessReport:

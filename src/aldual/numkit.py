@@ -126,20 +126,33 @@ def sqrt_upper(value, bits: int = _SQRT_GRID_BITS) -> Fraction:
 
 
 class RatVec(Sequence):
-    """Immutable vector of exact rationals."""
+    """Immutable vector of exact rationals.
+
+    The constructor coerces every entry through :func:`rat`.  The module's
+    own operations build their results with :meth:`_trusted`, which skips
+    that pass: their entries are already Fractions.
+    """
 
     __slots__ = ("_e",)
 
     def __init__(self, entries: Iterable):
-        object.__setattr__(self, "_e", tuple(rat(e) for e in entries))
+        self._e = tuple(rat(e) for e in entries)
+
+    @classmethod
+    def _trusted(cls, entries: tuple) -> "RatVec":
+        """Wrap a tuple whose entries are all Fractions, without coercion."""
+        v = object.__new__(cls)
+        v._e = entries
+        return v
 
     @staticmethod
     def zeros(dim: int) -> "RatVec":
-        return RatVec([_ZERO] * dim)
+        return RatVec._trusted((_ZERO,) * dim)
 
     @staticmethod
     def unit(dim: int, i: int) -> "RatVec":
-        return RatVec([_ONE if j == i else _ZERO for j in range(dim)])
+        return RatVec._trusted(tuple(_ONE if j == i else _ZERO
+                                     for j in range(dim)))
 
     def __len__(self) -> int:
         return len(self._e)
@@ -149,7 +162,7 @@ class RatVec(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return RatVec(self._e[i])
+            return RatVec._trusted(self._e[i])
         return self._e[i]
 
     def __eq__(self, other) -> bool:
@@ -160,22 +173,23 @@ class RatVec(Sequence):
 
     def __add__(self, other: "RatVec") -> "RatVec":
         self._check_dim(other)
-        return RatVec(a + b for a, b in zip(self._e, other._e))
+        return RatVec._trusted(tuple(a + b for a, b in zip(self._e, other._e)))
 
     def __sub__(self, other: "RatVec") -> "RatVec":
         self._check_dim(other)
-        return RatVec(a - b for a, b in zip(self._e, other._e))
+        return RatVec._trusted(tuple(a - b for a, b in zip(self._e, other._e)))
 
     def __neg__(self) -> "RatVec":
-        return RatVec(-a for a in self._e)
+        return RatVec._trusted(tuple(-a for a in self._e))
 
     def scale(self, k) -> "RatVec":
         k = rat(k)
-        return RatVec(k * a for a in self._e)
+        return RatVec._trusted(tuple(k * a for a in self._e))
 
     def dot(self, other: "RatVec") -> Fraction:
+        """Sum of the products, over the terms with both factors nonzero."""
         self._check_dim(other)
-        return sum((a * b for a, b in zip(self._e, other._e)), _ZERO)
+        return sum((a * b for a, b in zip(self._e, other._e) if a and b), _ZERO)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self._e)
@@ -255,7 +269,7 @@ class RatMat:
         return self._rows[i][j]
 
     def row(self, i: int) -> RatVec:
-        return RatVec(self._rows[i])
+        return RatVec._trusted(self._rows[i])
 
     def row_list(self) -> list[list[Fraction]]:
         """Mutable copy of the entries for elimination routines."""
@@ -267,11 +281,13 @@ class RatMat:
         )
 
     def matvec(self, v: RatVec) -> RatVec:
+        """M v, summing each row over its nonzero entries only."""
         if self.cols != len(v):
             raise DimMismatchError(f"matvec: {self.rows}x{self.cols} with dim {len(v)}")
-        return RatVec(
-            sum((a * b for a, b in zip(row, v)), _ZERO) for row in self._rows
-        )
+        e = tuple(v)
+        return RatVec._trusted(tuple(
+            sum((a * b for a, b in zip(row, e) if a), _ZERO) for row in self._rows
+        ))
 
     def tmatvec(self, v: RatVec) -> RatVec:
         """Transpose-apply: returns M^T v."""
@@ -286,7 +302,7 @@ class RatMat:
             for j, a in enumerate(row):
                 if a != 0:
                     out[j] = out[j] + vi * a
-        return RatVec(out)
+        return RatVec._trusted(tuple(out))
 
     def matmul(self, other: "RatMat") -> "RatMat":
         if self.cols != other.rows:
@@ -512,11 +528,12 @@ def solve_linear(M: RatMat, v: RatVec) -> LinearSolveReport:
         return x
 
     free_cols = [j for j in range(nc) if j not in pivot_cols]
-    particular = RatVec(back_substitute([aug[i][nc] for i in range(rank)], {}))
+    particular = RatVec._trusted(tuple(
+        back_substitute([aug[i][nc] for i in range(rank)], {})))
     basis = []
     zero_rhs = [0] * rank
     for fc in free_cols:
-        basis.append(RatVec(back_substitute(zero_rhs, {fc: _ONE})))
+        basis.append(RatVec._trusted(tuple(back_substitute(zero_rhs, {fc: _ONE}))))
     status = UNIQUE if not free_cols else UNDERDETERMINED
     return LinearSolveReport(status, particular, rank, tuple(basis))
 

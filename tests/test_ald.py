@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from aldual import ald
+from aldual import ald, convexsolve
 from aldual.ald import (
     SWEEP_CSV_HEADER,
     dual_ascent,
@@ -481,6 +481,32 @@ def test_mixed_slices_take_one_solve_each(solver_calls):
             eval_lr_plus(inst, lam, rho, parse_penalty(spec, inst.m))
             assert solver_calls == {"lp": table_lps, "qp": size}
             table_lps = 0
+
+
+def test_warm_slice_walk_kernel_calls(monkeypatch):
+    # eval_lr_plus at lambda_bar, rho 1, l1 then linf, on a 25-slice grid
+    # instance with Q11 != 0: 50 warm slice QPs.  Each starts with the
+    # independent rows active at its start point in its working set, so no
+    # step meets a zero-curvature ray.  With an empty starting working set
+    # the same walk made 179 solve_linear and 75 nullspace_basis calls.
+    inst = grid_corpus()[GRID_SHAPES.index((1, 2, 2, 0, 2, 700))]
+    assert len(ald._slices(inst)) == 25
+    lam = lambda_bar(inst).lambda_bar
+    calls = {"solve_linear": 0, "nullspace_basis": 0}
+
+    def counted(name):
+        fn = getattr(convexsolve, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(convexsolve, name, counted(name))
+    for spec in ("l1", "linf"):
+        eval_lr_plus(inst, lam, 1, parse_penalty(spec, inst.m))
+    assert calls == {"solve_linear": 104, "nullspace_basis": 0}
 
 
 def _coupled_instance():

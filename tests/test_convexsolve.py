@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -17,7 +18,7 @@ from aldual.convexsolve import (
 from aldual.ald import relaxation_program
 from aldual.errors import DimMismatchError, InternalInvariantError, NotPsdError
 from aldual.instance import MiqpInstance
-from aldual.numkit import RatMat, RatVec, quad_form, solve_linear
+from aldual.numkit import INCONSISTENT, RatMat, RatVec, quad_form, solve_linear
 
 from conftest import d1_instance
 
@@ -172,6 +173,68 @@ def test_qp_start_point_replaces_phase_one(monkeypatch):
 def test_qp_bad_start_point_rejected(start, error, match):
     with pytest.raises(error, match=match):
         solve_qp(_simplex_qp(), RatVec(start))
+
+
+@pytest.mark.parametrize("start, error, message", [
+    ([1, 0], InternalInvariantError, "start point violates an inequality row"),
+    ([Fraction(1, 2), 0], InternalInvariantError,
+     "start point violates an equality row"),
+    ([Fraction(1, 2)], DimMismatchError, "start point of length 1 vs 2 variables"),
+])
+def test_qp_bad_start_point_messages(start, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        solve_qp(_simplex_qp(), RatVec(start))
+
+
+def _degenerate_qp():
+    # min 1/2 |x - (0, 1/2, 1)|^2 on the simplex x1 + x2 + x3 = 1, whose
+    # equality row is given twice; the optimum is (0, 1/4, 3/4)
+    eq = RatMat([[1, 1, 1], [2, 2, 2]])
+    G = RatMat([[-1, 0, 0],    # 0: x1 >= 0
+                [0, -1, 0],    # 1: x2 >= 0
+                [0, -1, 0],    # 2: row 1 again
+                [0, 0, -1],    # 3: x3 >= 0
+                [0, 1, 1],     # 4: x2 + x3 <= 1, = eq - row 0 on the simplex
+                [-1, -1, -1],  # 5: minus the equality row
+                [1, 0, 0],     # 6: x1 <= 1
+                [0, -2, 0]])   # 7: twice row 1
+    return QuadraticProgram(RatMat.identity(3), RatVec([0, Fraction(-1, 2), -1]),
+                            eq, RatVec([1, 2]), G, RatVec([0, 0, 0, 0, 1, -1, 1, 0]))
+
+
+@pytest.mark.parametrize("start", [
+    # active: rows 1, 2, 3, 5, 6, 7 (six rows on three variables); only
+    # rows 1 and 3 are independent of the equality rows and of each other
+    [1, 0, 0],
+    # active: rows 0, 3, 4, 5; only rows 0 and 3 are independent, row 4
+    # being the equality row minus row 0
+    [0, 1, 0],
+])
+def test_qp_degenerate_start(monkeypatch, start):
+    qp = _degenerate_qp()
+    cold = solve_qp(qp)
+    assert cold.status == OPTIMAL
+    assert cold.x == RatVec([0, Fraction(1, 4), Fraction(3, 4)])
+    systems = []
+
+    def recorded(K, v):
+        rep = solve_linear(K, v)
+        systems.append((K, rep))
+        return rep
+
+    monkeypatch.setattr(convexsolve, "solve_linear", recorded)
+    monkeypatch.setattr(convexsolve, "nullspace_basis",
+                        lambda K: pytest.fail("zero-curvature ray step"))
+    warm = solve_qp(qp, RatVec(start))
+    assert (warm.status, warm.value, warm.x) == (cold.status, cold.value, cold.x)
+    n, m_eq = 3, 2
+    assert systems[0][0].cols == n + m_eq + 2  # two rows seeded
+    for K, rep in systems:
+        assert rep.status != INCONSISTENT
+        # the second equality row is the only dependent row of C: every
+        # kernel vector of a KKT system is zero on the working rows
+        assert all(z[n + m_eq:].is_zero() for z in rep.nullspace)
+        assert len(rep.nullspace) == 1
 
 
 def _flat_ray_qp():

@@ -4,6 +4,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aldual.errors import (
     DimMismatchError,
@@ -181,6 +182,80 @@ def test_mat_ops():
     E = RatMat([], cols=3)
     assert E.rows == 0 and E.cols == 3
     assert E.tmatvec(RatVec([])) == RatVec([0, 0, 0])
+
+
+# ------------------------------------------ vec / matrix against plain lists
+#
+# Every result is compared with the same sum over plain lists of Fractions,
+# and every entry must be a Fraction itself: the module builds its own
+# results without coercing them again, so an int leaking out of an empty
+# sum would go unnoticed there.
+
+_DERANDOMIZED = settings(derandomize=True, max_examples=60, deadline=None)
+
+# zero-heavy entries, ints and Fractions both, as the public constructors
+# accept either
+_entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                     st.fractions(-3, 3, max_denominator=4))
+
+
+def _vec(dim):
+    return st.lists(_entries, min_size=dim, max_size=dim)
+
+
+def _all_fractions(values) -> bool:
+    return all(type(e) is Fraction for e in values)
+
+
+@st.composite
+def _vec_pair(draw):
+    dim = draw(st.integers(0, 4))
+    return draw(_vec(dim)), draw(_vec(dim))
+
+
+@st.composite
+def _mat_case(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return (draw(st.lists(_vec(cols), min_size=rows, max_size=rows)), cols,
+            draw(_vec(cols)), draw(_vec(rows)))
+
+
+@_DERANDOMIZED
+@given(_vec_pair(), _entries, st.slices(5))
+def test_vec_ops_match_plain_lists(pair, k, cut):
+    a, b = [[Fraction(e) for e in v] for v in pair]
+    v, w = RatVec(pair[0]), RatVec(pair[1])
+    k = Fraction(k)
+    for got, want in [
+        (v + w, [x + y for x, y in zip(a, b)]),
+        (v - w, [x - y for x, y in zip(a, b)]),
+        (-v, [-x for x in a]),
+        (v.scale(k), [k * x for x in a]),
+        (v[cut], a[cut]),
+    ]:
+        assert isinstance(got, RatVec)
+        assert list(got) == want
+        assert _all_fractions(got)
+    dot = v.dot(w)
+    assert dot == sum((x * y for x, y in zip(a, b)), Fraction(0))
+    assert type(dot) is Fraction
+
+
+@_DERANDOMIZED
+@given(_mat_case())
+def test_mat_products_match_plain_lists(case):
+    rows, cols, x, y = case
+    M = RatMat(rows, cols=cols)
+    A = [[Fraction(e) for e in row] for row in rows]
+    x, y = [Fraction(e) for e in x], [Fraction(e) for e in y]
+    Mx = M.matvec(RatVec(x))
+    assert list(Mx) == [sum((a * b for a, b in zip(row, x)), Fraction(0))
+                        for row in A]
+    MTy = M.tmatvec(RatVec(y))
+    assert list(MTy) == [sum((A[i][j] * y[i] for i in range(len(A))), Fraction(0))
+                         for j in range(cols)]
+    assert len(Mx) == len(A) and len(MTy) == cols
+    assert _all_fractions(Mx) and _all_fractions(MTy)
 
 
 # ---------------------------------------------------------------- PSD test

@@ -3,9 +3,12 @@
 No module imports an underscore-prefixed name from another aldual module,
 every import sits at module level (none inside a function body), and only
 ``numkit`` calls ``format_rat``: every other module renders through
-``numkit.to_wire``, so the wire format is known in one place.  Only ``ald``
-calls a method named ``assignments``: every other module walks the slices
-through ``ald``'s slice table, not its own loop over the raw integer box.
+``numkit.to_wire``, so the wire format is known in one place.  Only
+``numkit`` calls ``RatVec._trusted``, the constructor that skips coercion:
+an unchecked vector cannot be built outside the module whose operations
+guarantee its entries are Fractions.  Only ``ald`` calls a method named
+``assignments``: every other module walks the slices through ``ald``'s
+slice table, not its own loop over the raw integer box.
 """
 
 import ast
@@ -64,4 +67,13 @@ def test_only_ald_walks_the_integer_box(path):
     calls = [f"line {node.lineno}" for node in ast.walk(_tree(path))
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", None) == "assignments"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "numkit"],
+                         ids=lambda p: p.name)
+def test_only_numkit_builds_trusted_vectors(path):
+    calls = [f"line {node.lineno}" for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "_trusted"]
     assert calls == []
