@@ -10,7 +10,14 @@ convention fixed once here:
 inequalities written as ineq_lhs x <= ineq_rhs.  UNBOUNDED reports carry a
 feasible recession ray along which the objective strictly decreases.
 
-The LP solver is a two-phase primal simplex with Bland's rule; the QP
+The LP solver is a two-phase primal simplex with Bland's rule on a
+fraction-free tableau (Edmonds; Bareiss; Gaertner 1999, "Exact arithmetic
+at low cost"): the constraint rows are scaled by one common denominator
+and the costs by their own, so every entry is a Python int, and each pivot
+is an exact integer division by the previous pivot, checked.  Positive row
+and column scalings keep the sign of every reduced cost and the ratio
+test's order and tie-break, so the pivots, and so the point, the ray and
+the duals, are those of the same simplex on a Fraction tableau.  The QP
 solver is a primal active-set method whose working set stays linearly
 independent, also with least-index (Bland) selection, so multipliers are
 unique and anti-cycling is principled rather than perturbation-based.  A
@@ -143,83 +150,130 @@ class BoundednessReport:
 _MAX_PIVOTS = 200_000
 
 
+def _common_denominator(values) -> int:
+    """The least common multiple of the values' denominators."""
+    den = 1
+    for a in values:
+        den = lcm(den, a.denominator)
+    return den
+
+
+def _exact_quotients(row: list[int], det: int) -> list[int]:
+    """Each entry of ``row`` divided by ``det``, checked exact."""
+    pairs = [divmod(a, det) for a in row]
+    if any(rem for _, rem in pairs):
+        raise InternalInvariantError("inexact integer pivot division")
+    return [q for q, _ in pairs]
+
+
 def solve_lp(lp: LinearProgram) -> SolveReport:
-    """Two-phase primal simplex with Bland's rule, free variables split."""
+    """Two-phase primal simplex with Bland's rule, free variables split.
+
+    Each free variable is split as x = x+ - x-, each inequality row gets a
+    slack and every row an artificial; a row with a negative right-hand
+    side is negated first, so the artificials start as a feasible basis.
+    Phase 1 minimizes the sum of the artificials, pivots those left basic
+    at zero out on the first structural column nonzero in their row, and
+    phase 2 minimizes the objective from that basis, artificials barred
+    from entering.  Bland's rule enters the least-index column with a
+    negative reduced cost, and the ratio test breaks ties toward the
+    least basic variable, so the pivot sequence is fixed by the signs of
+    the reduced costs and the order of the ratios.
+
+    The tableau is fraction-free (Edmonds; Bareiss; Gaertner 1999, "Exact
+    arithmetic at low cost").  The rows [A | b] are scaled by one common
+    denominator L and the slack and artificial columns left unit; the
+    phase-2 costs are scaled by their own common denominator Lc.  Every
+    entry is then a Python int, the true tableau is the int tableau over
+    ``det``, the determinant of the current basis, kept positive, and a
+    pivot on (r, c) with p = T[r][c] keeps row r and sets every other entry
+    to ``(p * T[i][j] - T[i][c] * T[r][j]) // det``, a division checked
+    exact (each entry is a minor of the scaled matrix), before ``det``
+    becomes p.  A negative p, possible only when an artificial is pivoted
+    out, negates the tableau.  The scalings are positive row and column
+    factors, so they keep the sign of every reduced cost, the argmin of
+    the ratio test and its tie-break: the basis sequence, and so x, the ray
+    and the duals, are those of the same simplex on a Fraction tableau.
+    Only the slack columns and the objective need their scale undone: the
+    ray along a slack column is multiplied back by L, and the duals are
+    ``L * (c_B . T[:, art]) / (det * Lc)``.  Every number returned is a
+    Fraction.  An OPTIMAL report is KKT-checked and an UNBOUNDED one's ray
+    verified, both in Fractions from the program, not from the tableau.
+    """
     n = len(lp.objective)
     m_eq, m_in = lp.eq_lhs.rows, lp.ineq_lhs.rows
     m = m_eq + m_in
     nstruct = 2 * n + m_in
     ncols = nstruct + m  # artificial columns form the initial identity
 
-    T: list[list[Fraction]] = []
+    coeff_rows = lp.eq_lhs.row_list() + lp.ineq_lhs.row_list()
+    rhs = list(lp.eq_rhs) + list(lp.ineq_rhs)
+    L = _common_denominator(a for row in [rhs, *coeff_rows] for a in row)
+
+    T: list[list[int]] = []
     sign: list[int] = []
-    for i in range(m):
-        if i < m_eq:
-            coeffs, rhs = lp.eq_lhs.row(i), lp.eq_rhs[i]
-        else:
-            j = i - m_eq
-            coeffs, rhs = lp.ineq_lhs.row(j), lp.ineq_rhs[j]
-        row = [_ZERO] * (ncols + 1)
-        for k in range(n):
-            row[k] = coeffs[k]
-            row[n + k] = -coeffs[k]
+    for i, (coeffs, b) in enumerate(zip(coeff_rows, rhs)):
+        s = -1 if b < 0 else 1
+        ints = [s * a.numerator * (L // a.denominator) for a in coeffs]
+        row = ints + [-a for a in ints] + [0] * (m_in + m + 1)
         if i >= m_eq:
-            row[2 * n + (i - m_eq)] = _ONE
-        row[-1] = rhs
-        s = 1
-        if rhs < 0:
-            s = -1
-            row = [-e for e in row]
+            row[2 * n + (i - m_eq)] = s
+        row[nstruct + i] = 1
+        row[-1] = s * b.numerator * (L // b.denominator)
         sign.append(s)
-        row[nstruct + i] = _ONE
         T.append(row)
     basis = [nstruct + i for i in range(m)]
+    det = 1
 
     def pivot(r: int, c: int) -> None:
-        piv = T[r][c]
-        if piv != 1:
-            T[r] = [a / piv for a in T[r]]
+        nonlocal det
         prow = T[r]
-        nonzero = [j for j, b in enumerate(prow) if b != 0]
-        for i in range(len(T)):
+        p = prow[c]
+        for i, row in enumerate(T):
             if i == r:
                 continue
-            f = T[i][c]
-            if f != 0:
-                row = list(T[i])
-                for j in nonzero:
-                    row[j] -= f * prow[j]
-                T[i] = row
+            f = row[c]
+            if f:
+                row = [p * a - f * b for a, b in zip(row, prow)]
+            elif p != det:
+                row = [p * a for a in row]
+            else:
+                continue
+            T[i] = row if det == 1 else _exact_quotients(row, det)
+        if p < 0:
+            for i, row in enumerate(T):
+                T[i] = [-a for a in row]
+            p = -p
+        det = p
         basis[r] = c
 
-    def run_simplex(obj: list[Fraction], allowed: int) -> int | None:
+    def run_simplex(obj: list[int], allowed: int) -> int | None:
         """Bland pivoting on the appended objective row.
 
-        ``obj`` holds reduced costs (updated in place via T-append);
-        ``allowed`` restricts entering columns to indices < allowed.
-        Returns the entering column when unbounded, else None at optimum.
+        ``obj`` holds det times the reduced costs (updated in place via
+        T-append); ``allowed`` restricts entering columns to indices <
+        allowed.  Returns the entering column when unbounded, else None at
+        optimum.
         """
         T.append(obj)
         try:
             for _ in range(_MAX_PIVOTS):
-                enter = next(
-                    (j for j in range(allowed) if T[-1][j] < 0), None
-                )
+                z = T[-1]
+                enter = next((j for j in range(allowed) if z[j] < 0), None)
                 if enter is None:
                     return None
-                best_ratio = None
                 leave = None
-                leave_var = None
                 for r in range(m):
                     a = T[r][enter]
                     if a > 0:
-                        ratio = T[r][-1] / a
+                        b = T[r][-1]
+                        # b / a against best_b / best_a, both a > 0
                         if (
-                            best_ratio is None
-                            or ratio < best_ratio
-                            or (ratio == best_ratio and basis[r] < leave_var)
+                            leave is None
+                            or b * best_a < best_b * a
+                            or (b * best_a == best_b * a and basis[r] < basis[leave])
                         ):
-                            best_ratio, leave, leave_var = ratio, r, basis[r]
+                            leave, best_a, best_b = r, a, b
                 if leave is None:
                     return enter
                 pivot(leave, enter)
@@ -229,15 +283,15 @@ def solve_lp(lp: LinearProgram) -> SolveReport:
             del T[-1]
 
     # phase 1: drive artificial variables to zero
-    obj1 = [_ZERO] * (ncols + 1)
+    obj1 = [0] * (ncols + 1)
     for j in range(nstruct, ncols):
-        obj1[j] = _ONE
-    for r in range(m):  # price out the initial basis
-        obj1 = [a - b for a, b in zip(obj1, T[r])]
+        obj1[j] = 1
+    for row in T:  # price out the initial basis
+        obj1 = [a - b for a, b in zip(obj1, row)]
     unb = run_simplex(obj1, ncols)
     if unb is not None:
         raise InternalInvariantError("phase-1 simplex reported unbounded")
-    if -obj1[-1] > 0:
+    if obj1[-1] < 0:
         return SolveReport(status=INFEASIBLE)
 
     # pivot remaining artificials out of the basis where possible
@@ -247,48 +301,46 @@ def solve_lp(lp: LinearProgram) -> SolveReport:
             if c is not None:
                 pivot(r, c)
 
-    # phase 2 on the original costs
-    cost = [_ZERO] * (ncols + 1)
-    for k in range(n):
-        cost[k] = lp.objective[k]
-        cost[n + k] = -lp.objective[k]
-    obj2 = list(cost)
+    # phase 2 on the original costs, times Lc
+    Lc = _common_denominator(lp.objective)
+    cost = [0] * (ncols + 1)
+    for k, a in enumerate(lp.objective):
+        cost[k] = a.numerator * (Lc // a.denominator)
+        cost[n + k] = -cost[k]
+    obj2 = [det * a for a in cost]
     for r in range(m):
         cb = cost[basis[r]]
         if cb != 0:
             obj2 = [a - cb * b for a, b in zip(obj2, T[r])]
     enter = run_simplex(obj2, nstruct)
 
-    def structural_point() -> RatVec:
-        xs = [_ZERO] * nstruct
-        for r in range(m):
-            if basis[r] < nstruct:
-                xs[basis[r]] = T[r][-1]
-        return RatVec(xs[k] - xs[n + k] for k in range(n))
+    def structural(values: list[Fraction]) -> RatVec:
+        return RatVec(values[k] - values[n + k] for k in range(n))
+
+    xs = [_ZERO] * nstruct
+    for r in range(m):
+        if basis[r] < nstruct:
+            xs[basis[r]] = Fraction(T[r][-1], det)
+    x = structural(xs)
 
     if enter is not None:
+        unit = L if enter >= 2 * n else 1  # a slack column was scaled by 1/L
         xs_dir = [_ZERO] * nstruct
         xs_dir[enter] = _ONE
         for r in range(m):
             if basis[r] < nstruct:
-                xs_dir[basis[r]] = -T[r][enter]
-        ray = RatVec(xs_dir[k] - xs_dir[n + k] for k in range(n))
-        report = SolveReport(status=UNBOUNDED, x=structural_point(), ray=ray)
+                xs_dir[basis[r]] = Fraction(-T[r][enter] * unit, det)
+        ray = structural(xs_dir)
+        report = SolveReport(status=UNBOUNDED, x=x, ray=ray)
         _verify_ray(lp.objective, lp.eq_lhs, lp.ineq_lhs, ray)
         return report
 
-    x = structural_point()
     value = lp.objective.dot(x)
-    y_hat = []
+    y_orig = []
     for i in range(m):
-        yi = _ZERO
         col = nstruct + i
-        for r in range(m):
-            cb = cost[basis[r]]
-            if cb != 0 and T[r][col] != 0:
-                yi += cb * T[r][col]
-        y_hat.append(yi)
-    y_orig = [sign[i] * y_hat[i] for i in range(m)]
+        yi = sum(cost[basis[r]] * T[r][col] for r in range(m))
+        y_orig.append(Fraction(sign[i] * L * yi, det * Lc))
     eq_duals = RatVec(y_orig[:m_eq])
     ineq_duals = RatVec(-y_orig[m_eq + j] for j in range(m_in))
     report = SolveReport(OPTIMAL, value, x, eq_duals, ineq_duals, None)
@@ -543,10 +595,7 @@ def check_boundedness(inst) -> BoundednessReport:
 
 
 def _integral_descent_ray(inst, ray: RatVec) -> RatVec:
-    den = 1
-    for a in ray:
-        den = lcm(den, a.denominator)
-    r = ray.scale(den)
+    r = ray.scale(_common_denominator(ray))
     drop = inst.c.dot(r)
     if drop > -1:
         r = r.scale(ceil_rat(_ONE / -drop))

@@ -6,7 +6,10 @@ every import sits at module level (none inside a function body), and only
 ``numkit.to_wire``, so the wire format is known in one place.  Only
 ``numkit`` calls ``RatVec._trusted``, the constructor that skips coercion:
 an unchecked vector cannot be built outside the module whose operations
-guarantee its entries are Fractions.  Only ``ald`` calls a method named
+guarantee its entries are Fractions.  Nor does any other module read a
+``RatMat``/``RatVec`` internal (``._rows``, ``._e``): they read entries
+through ``row_list``, ``row`` and iteration, so the storage stays
+``numkit``'s to change.  Only ``ald`` calls a method named
 ``assignments``: every other module walks the slices through ``ald``'s
 slice table, not its own loop over the raw integer box.
 """
@@ -77,3 +80,11 @@ def test_only_numkit_builds_trusted_vectors(path):
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", None) == "_trusted"]
     assert calls == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "numkit"],
+                         ids=lambda p: p.name)
+def test_only_numkit_reads_matrix_internals(path):
+    reads = [f"{node.attr} (line {node.lineno})" for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute) and node.attr in ("_rows", "_e")]
+    assert reads == []
