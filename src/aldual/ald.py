@@ -3,13 +3,18 @@
 The integer variables are always enumerated over a box implied by the
 linear set (computed by LP), so the ground-truth mixed integer value and
 every penalized relaxation value are exact minima over finitely many
-convex subproblems.  One table per instance lists the nonempty slices
-E1 x1 <= f - E2 x2 with a point of each (a slice's set does not depend on
-the objective): checked directly when n1 = 0, where each subproblem is
-that point, evaluated with no solver; else found by one LP per box point.
-Each row also carries the slice's x2-only terms, from which every slice
-program of every relaxation (lam, pen, rho) is assembled.  An empty slice
-takes no solve, and QP slices start at the table's point.
+convex subproblems, one per integer slice.  One table per instance lists
+the nonempty slices E1 x1 <= f - E2 x2 with a point of each (a slice's set
+does not depend on the objective): checked directly when n1 = 0, where
+each subproblem is that point, evaluated with no solver; else found by
+one LP per box point.  Each row also carries the slice's x2-only terms,
+from which every slice program of every relaxation (lam, pen, rho) is
+assembled.  A ``SliceSolver`` at one (lam, pen, rho) is the one walk over
+the slices: ``rows`` lists them, ``minimum`` evaluates one, and ``argmin``
+finds the first of least minimum, from which ``solve_ip`` and
+``eval_lr_plus`` build their reports; ``exactrho``'s certificate routes
+walk ``rows`` slice by slice.  An empty slice takes no solve, and QP
+slices start at the table's point.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import penalty as pen_mod
 from .convexsolve import (
@@ -207,9 +212,11 @@ def _x1_block(inst: MiqpInstance, pen: pen_mod.Penalty | None, s: int,
             RatMat.vstack(ineq, cols=width), RatMat.vstack(eq, cols=width), eq_tail)
 
 
-class _SliceSolver:
+class SliceSolver:
     """The slices of  min s f(x) + lam.(b - Ax) + rho psi(b - Ax)  over
-    E x <= f, x2 fixed: s = 1, or 0 with ``objective=False``.
+    E x <= f, x2 fixed: s = 1, or 0 with ``objective=False``; ``pen`` None
+    (solve_ip) has no penalty.  A multiplier or penalty of the wrong
+    dimension raises DimMismatchError, and rho < 0 ValueError.
 
     A slice's program over (x1, aux) is built from its SliceRow and the
     continuous block, which one instance builds once (``_x1_block``).
@@ -220,13 +227,19 @@ class _SliceSolver:
     ``epigraph_rhs(pen, r2)``, on auxiliary columns whose last, w, costs
     rho; ``include_eq`` (solve_ip) adds [A1 | 0] = r2.  rho = 0, or no
     dualized rows, drops the penalty.  A point slice (n1 = 0) is
-    s f2 + lam.r2 + rho psi(r2), in closed form.  ``scan`` walks the
-    ``_slices`` table, QP slices started at its x1, but ``solve_ip``'s
-    mixed slices (the table lacks the A rows) walk the raw box cold.
+    s f2 + lam.r2 + rho psi(r2), in closed form.  The walk is ``rows``,
+    ``minimum`` of each and ``argmin`` over them.
     """
 
     def __init__(self, inst: MiqpInstance, lam: RatVec, pen: pen_mod.Penalty | None,
-                 rho: Fraction, objective: bool = True, include_eq: bool = False):
+                 rho, objective: bool = True, include_eq: bool = False):
+        if len(lam) != inst.m:
+            raise DimMismatchError(f"multiplier dim {len(lam)} vs {inst.m} rows")
+        rho = rat(rho)
+        if rho < 0:
+            raise ValueError("rho must be nonnegative")
+        if pen is not None and pen.dim != inst.m:
+            raise DimMismatchError(f"penalty dim {pen.dim} vs {inst.m} rows")
         if rho == 0 or inst.m == 0:
             pen = None  # psi of an empty residual is 0
         self.inst, self.lam, self.pen, self.rho = inst, lam, pen, rho
@@ -275,54 +288,51 @@ class _SliceSolver:
             raise InternalInvariantError(f"table slice {row.x2} reported infeasible")
         return rep, (rep.value + self.constant(row) if rep.status == OPTIMAL else None)
 
-    def slices(self) -> tuple[SliceRow, ...]:
-        """The instance's nonempty slices: its ``_slices`` table."""
-        return _slices(self.inst)
+    def rows(self) -> Iterable[SliceRow]:
+        """The slices a walk visits, in lexicographic order: the instance's
+        ``_slices`` table, except for ``include_eq``, which keeps a
+        pure-integer table's rows with r2 = 0 and walks a mixed instance's
+        raw box (the table lacks the A rows), x1 None, so solved cold."""
+        inst = self.inst
+        if not self.include_eq:
+            return _slices(inst)
+        if inst.n1:
+            return _box_rows(inst, integer_box(inst).assignments())
+        return (row for row in _slices(inst) if row.r2.is_zero())
 
-    def row_minimum(self, row: SliceRow) -> Fraction | None:
-        """The minimum over one ``slices()`` row's slice, or None when it is
-        unbounded below: a point slice (n1 = 0) in closed form, else one
-        ``solve``."""
+    def minimum(self, row: SliceRow) -> tuple[SolveReport | None, Fraction | None]:
+        """One ``rows()`` row's report and slice minimum, the minimum None
+        unless OPTIMAL: a point slice (n1 = 0) in closed form, with no
+        report, else one ``solve``."""
         if self.inst.n1:
-            return self.solve(row)[1]
+            return self.solve(row)
         value = self.constant(row)
         if self.epigraph:
             value += self.rho * pen_mod.evaluate(self.pen, row.r2)
-        return value
+        return None, value
 
-    def scan(self):
-        """Feasible slices of the integer box in lexicographic order, as
-        ``(x2, report, value)``: ``value`` is the slice minimum, None when
-        unbounded below, and ``report`` the solver's, None for a point
-        slice (n1 = 0).  The slices come from ``slices``, except
-        ``solve_ip``'s on a mixed instance: one cold solve per box point,
-        the infeasible ones skipped."""
-        inst = self.inst
-        if self.include_eq and inst.n1:
-            rows = _box_rows(inst, integer_box(inst).assignments())
-        else:
-            rows = self.slices()
-        for row in rows:
-            if inst.n1 == 0:
-                if not self.include_eq or row.r2.is_zero():
-                    yield row.x2, None, self.row_minimum(row)
-                continue
-            rep, value = self.solve(row)
-            if rep.status != INFEASIBLE:
-                yield row.x2, rep, value
+    def argmin(self) -> tuple[SliceRow, SolveReport | None, Fraction | None] | None:
+        """``(row, report, value)`` of the first slice in ``rows()`` order
+        of least minimum; the first slice unbounded below ends the walk,
+        with value None.  An INFEASIBLE (raw-box) row is skipped, and None
+        means no slice is feasible."""
+        best = None
+        for row in self.rows():
+            rep, value = self.minimum(row)
+            if value is None:
+                if rep.status == INFEASIBLE:
+                    continue
+                return row, rep, None
+            if best is None or value < best[2]:
+                best = row, rep, value
+        return best
 
     def lift(self, x2: tuple[int, ...], report: SolveReport | None) -> RatVec:
-        """Full primal point (x1, x2) of a slice from ``scan``: x2 itself
+        """Full primal point (x1, x2) of a slice from ``minimum``: x2 itself
         for a point slice, else from the block solution (x1, aux)."""
         if report is None:
             return RatVec(x2)
         return RatVec(list(report.x[: self.inst.n1]) + list(x2))
-
-
-def penalized_slicer(inst: MiqpInstance, lam: RatVec, pen: pen_mod.Penalty,
-                     rho: Fraction, objective: bool = True) -> _SliceSolver:
-    """The relaxation's slicer at (lam, rho); objective=False drops f(x)."""
-    return _SliceSolver(inst, lam, pen, rho, objective)
 
 
 @_per_instance
@@ -332,19 +342,16 @@ def solve_ip(inst: MiqpInstance) -> SolveReport:
     Ties between integer assignments are broken toward the
     lexicographically smallest one.
     """
-    slicer = _SliceSolver(inst, RatVec.zeros(inst.m), None, _ZERO, include_eq=True)
-    best_val = None
-    best_x = None
-    for x2, rep, total in slicer.scan():
-        if total is None:
-            ray = RatVec(list(rep.ray[: inst.n1]) + [_ZERO] * inst.n2)
-            return SolveReport(status=UNBOUNDED, x=slicer.lift(x2, rep), ray=ray)
-        if best_val is None or total < best_val:
-            best_val = total
-            best_x = slicer.lift(x2, rep)
-    if best_val is None:
+    slicer = SliceSolver(inst, RatVec.zeros(inst.m), None, _ZERO, include_eq=True)
+    best = slicer.argmin()
+    if best is None:
         return SolveReport(status=INFEASIBLE)
-    return SolveReport(status=OPTIMAL, value=best_val, x=best_x)
+    row, rep, value = best
+    x = slicer.lift(row.x2, rep)
+    if value is None:
+        ray = RatVec(list(rep.ray[: inst.n1]) + [_ZERO] * inst.n2)
+        return SolveReport(status=UNBOUNDED, x=x, ray=ray)
+    return SolveReport(status=OPTIMAL, value=value, x=x)
 
 
 def ground_truth(inst: MiqpInstance) -> SolveReport:
@@ -382,29 +389,16 @@ def eval_lr_plus(inst: MiqpInstance, lam: RatVec, rho,
     directly when n1 = 0).  With rho = 0 this is the classical Lagrangian
     relaxation.
     """
-    if len(lam) != inst.m:
-        raise DimMismatchError(f"multiplier dim {len(lam)} vs {inst.m} rows")
-    rho = rat(rho)
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if pen.dim != inst.m:
-        raise DimMismatchError(f"penalty dim {pen.dim} vs {inst.m} rows")
-    slicer = penalized_slicer(inst, lam, pen, rho)
-    best_val = None
-    best_x = None
-    best_x2 = None
-    for x2, rep, total in slicer.scan():
-        if total is None:
-            return RelaxReport(None, None, None, x2, unbounded=True)
-        if best_val is None or total < best_val:
-            best_val = total
-            best_x = slicer.lift(x2, rep)
-            best_x2 = x2
-    if best_val is None:
+    slicer = SliceSolver(inst, lam, pen, rho)
+    best = slicer.argmin()
+    if best is None:
         raise InfeasibleDomainError("the mixed integer linear set is empty")
-    residual = inst.b - inst.A.matvec(best_x) if inst.m else RatVec([])
-    violation = pen_mod.evaluate(pen, residual)
-    return RelaxReport(best_val, best_x, violation, best_x2)
+    row, rep, value = best
+    if value is None:
+        return RelaxReport(None, None, None, row.x2, unbounded=True)
+    x = slicer.lift(row.x2, rep)
+    residual = inst.b - inst.A.matvec(x) if inst.m else RatVec([])
+    return RelaxReport(value, x, pen_mod.evaluate(pen, residual), row.x2)
 
 
 @dataclass(frozen=True)
@@ -472,6 +466,7 @@ def stream_gap_sweep(inst: MiqpInstance, pen: pen_mod.Penalty, rhos,
     duals = lambda_bar(inst)
     if lam is None:
         lam = duals.lambda_bar
+    SliceSolver(inst, lam, pen, rhos[0])  # raises on a bad lam or pen dimension
     z_ip, z_nlp = ip.value, duals.z_nlp
 
     def rows():

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
     DimMismatchError,
@@ -44,6 +43,7 @@ from .numkit import (
     RatMat,
     RatVec,
     ceil_rat,
+    common_denominator,
     ldl_psd_check,
     nullspace_basis,
     quad_form,
@@ -150,14 +150,6 @@ class BoundednessReport:
 _MAX_PIVOTS = 200_000
 
 
-def _common_denominator(values) -> int:
-    """The least common multiple of the values' denominators."""
-    den = 1
-    for a in values:
-        den = lcm(den, a.denominator)
-    return den
-
-
 def _exact_quotients(row: list[int], det: int) -> list[int]:
     """Each entry of ``row`` divided by ``det``, checked exact."""
     pairs = [divmod(a, det) for a in row]
@@ -208,7 +200,7 @@ def solve_lp(lp: LinearProgram) -> SolveReport:
 
     coeff_rows = lp.eq_lhs.row_list() + lp.ineq_lhs.row_list()
     rhs = list(lp.eq_rhs) + list(lp.ineq_rhs)
-    L = _common_denominator(a for row in [rhs, *coeff_rows] for a in row)
+    L = common_denominator(a for row in [rhs, *coeff_rows] for a in row)
 
     T: list[list[int]] = []
     sign: list[int] = []
@@ -302,7 +294,7 @@ def solve_lp(lp: LinearProgram) -> SolveReport:
                 pivot(r, c)
 
     # phase 2 on the original costs, times Lc
-    Lc = _common_denominator(lp.objective)
+    Lc = common_denominator(lp.objective)
     cost = [0] * (ncols + 1)
     for k, a in enumerate(lp.objective):
         cost[k] = a.numerator * (Lc // a.denominator)
@@ -595,7 +587,7 @@ def check_boundedness(inst) -> BoundednessReport:
 
 
 def _integral_descent_ray(inst, ray: RatVec) -> RatVec:
-    r = ray.scale(_common_denominator(ray))
+    r = ray.scale(common_denominator(ray))
     drop = inst.c.dot(r)
     if drop > -1:
         r = r.scale(ceil_rat(_ONE / -drop))

@@ -26,17 +26,11 @@ from fractions import Fraction
 from functools import cache, partial
 
 from . import penalty as pen_mod
-from .ald import (
-    eval_lr_plus,
-    ground_truth,
-    lambda_bar,
-    penalized_slicer,
-)
+from .ald import SliceSolver, eval_lr_plus, ground_truth, lambda_bar
 from .convexsolve import OPTIMAL
 from .errors import (
     BisectionCapError,
     DeltaZeroError,
-    DimMismatchError,
     InternalInvariantError,
     UnsupportedKindError,
 )
@@ -167,17 +161,17 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty) -> RhoCertificate:
     continuous_acts = not A1.is_zero()
 
     # per-assignment exact minimum of psi(b - Ax) over the continuous slice
-    slicer = penalized_slicer(inst, RatVec.zeros(inst.m), pen, _ONE,
-                              objective=False)
+    slicer = SliceSolver(inst, RatVec.zeros(inst.m), pen, _ONE, objective=False)
     candidates: list[Fraction] = []
-    for x2, _, vmin in slicer.scan():
+    for row in slicer.rows():
+        vmin = slicer.minimum(row)[1]
         if vmin is None:
             raise InternalInvariantError("penalty minimization unbounded")
         if vmin > 0:
             candidates.append(vmin)
         elif continuous_acts:
             raise DeltaZeroError(
-                f"assignment {x2} attains zero residual with continuous "
+                f"assignment {row.x2} attains zero residual with continuous "
                 "variables acting on the dualized rows"
             )
     delta = min(candidates) if candidates else _ONE
@@ -248,7 +242,7 @@ def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
     if inst.m == 0:
         return _issue(inst, lam, _ONE, pen_linf, DUAL_LINF, DualLinfEvidence(()))
 
-    slicer = cache(partial(penalized_slicer, inst, lam, pen_linf))
+    slicer = cache(partial(SliceSolver, inst, lam, pen_linf))
     blocks = (*inst.q_blocks(), *inst.split_cols(inst.A),
               *inst.split_cols(inst.E), *inst.c_split())
 
@@ -257,7 +251,7 @@ def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
 
     records: list[DualAssignmentRecord] = []
     current = _ONE
-    for row in slicer(current).slices():
+    for row in slicer(current).rows():
         rec = probe(row, current)
         if rec.dual_value >= z_ip:
             records.append(rec)
@@ -324,12 +318,10 @@ def certificate_for_norm(inst: MiqpInstance, pen: pen_mod.Penalty,
 
 
 def certificate_for_lambda(inst: MiqpInstance, pen: pen_mod.Penalty,
-                           lambda_tilde: RatVec,
-                           base: RhoCertificate | None = None) -> RhoCertificate:
+                           lambda_tilde: RatVec) -> RhoCertificate:
     """Full certificate at arbitrary multipliers for a norm kind."""
-    if base is None:
-        base = certificate_for_norm(inst, pen) if pen.kind != pen_mod.LINF \
-            else rho_dual_linf(inst)
+    base = certificate_for_norm(inst, pen) if pen.kind != pen_mod.LINF \
+        else rho_dual_linf(inst)
     eta, shift, rho = _lambda_shift(base.rho_star, lambda_tilde,
                                     base.lambda_used, pen)
     return _issue(inst, lambda_tilde, rho, pen, LAMBDA_SHIFT,
@@ -364,10 +356,8 @@ def rho_bisect_empirical(inst: MiqpInstance, lam: RatVec,
     """
     if not pen.is_norm:
         raise UnsupportedKindError("empirical bisection needs a norm kind")
-    if len(lam) != inst.m:
-        raise DimMismatchError(f"multiplier dim {len(lam)} vs {inst.m} rows")
-    if pen.dim != inst.m:
-        raise DimMismatchError(f"penalty dim {pen.dim} vs {inst.m} rows")
+    slicer = cache(partial(SliceSolver, inst, lam, pen))
+    first = slicer(_ZERO)  # checks the multiplier and penalty dimensions
     rho_max = rat(rho_max)
     if rho_max < 0:
         raise ValueError("rho_max must be nonnegative")
@@ -376,14 +366,13 @@ def rho_bisect_empirical(inst: MiqpInstance, lam: RatVec,
     while width > EMPIRICAL_WIDTH:
         halvings, width = halvings + 1, width / 2
     top = 2 ** halvings
-    slicer = cache(partial(penalized_slicer, inst, lam, pen))
 
     def passes(row, k: int) -> bool:
-        value = slicer(rho_max * k / top).row_minimum(row)
+        value = slicer(rho_max * k / top).minimum(row)[1]
         return value is not None and value >= z_ip
 
     k = 0
-    for row in slicer(_ZERO).slices():
+    for row in first.rows():
         if passes(row, k):
             continue
         if not passes(row, top):

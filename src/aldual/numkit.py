@@ -86,6 +86,14 @@ def to_wire(value):
     raise TypeError(f"no wire format for {type(value).__name__}")
 
 
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """The least common multiple of the values' denominators."""
+    den = 1
+    for a in values:
+        den = lcm(den, a.denominator)
+    return den
+
+
 def ceil_rat(value: Fraction) -> int:
     """Smallest integer >= value."""
     value = Fraction(value)
@@ -480,9 +488,7 @@ def solve_linear(M: RatMat, v: RatVec) -> LinearSolveReport:
     aug = []
     for row, vi in zip(M.row_list(), v):
         row.append(vi)
-        den = 1
-        for a in row:
-            den = lcm(den, a.denominator)
+        den = common_denominator(row)
         aug.append([a.numerator * (den // a.denominator) for a in row])
 
     prev = 1

@@ -25,6 +25,7 @@ from aldual.convexsolve import (
     solve_lp,
 )
 from aldual.errors import (
+    DimMismatchError,
     InfeasibleDomainError,
     InternalInvariantError,
     UnboundedIntegerVarError,
@@ -418,10 +419,11 @@ def _lp_route(slicer):
 
 def _point_route(slicer):
     values = {}
-    for x2, rep, value in slicer.scan():
+    for row in slicer.rows():
+        rep, value = slicer.minimum(row)
         assert rep is None and value is not None
-        assert slicer.lift(x2, rep) == RatVec(x2)
-        values[x2] = value
+        assert slicer.lift(row.x2, rep) == RatVec(row.x2)
+        values[row.x2] = value
     assert list(values) == sorted(values)
     return values
 
@@ -431,7 +433,7 @@ def _relax_slicers(inst, lam):
     cases = [(parse_penalty("linf", inst.m), 0)] + [
         (parse_penalty(spec, inst.m), rho)
         for spec in _POINT_SPECS for rho in (1, 4)]
-    return [ald.penalized_slicer(inst, lam, pen, Fraction(rho))
+    return [ald.SliceSolver(inst, lam, pen, Fraction(rho))
             for pen, rho in cases]
 
 
@@ -445,8 +447,8 @@ def _point_cases():
 def test_point_slices_equal_lp_route(idx):
     inst = _point_cases()[idx]
     assert inst.n1 == 0
-    slicers = [ald._SliceSolver(inst, RatVec.zeros(inst.m), None, Fraction(0),
-                                include_eq=True)]
+    slicers = [ald.SliceSolver(inst, RatVec.zeros(inst.m), None, Fraction(0),
+                               include_eq=True)]
     for lam in (lambda_bar(inst).lambda_bar, RatVec.zeros(inst.m)):
         slicers += _relax_slicers(inst, lam)
     for slicer in slicers:
@@ -561,7 +563,7 @@ def test_empty_slices_take_no_solve(solver_calls):
             solver_calls.update(lp=0, qp=0)
             got = eval_lr_plus(inst, lam, rho, pen)
             assert solver_calls == {"lp": 0, "qp": len(table)}
-            slicer = ald.penalized_slicer(inst, lam, pen, Fraction(rho))
+            slicer = ald.SliceSolver(inst, lam, pen, Fraction(rho))
             assert _cold_route(slicer, pen) == (
                 (got.value, got.argmin_x, got.violation), empty)
 
@@ -580,7 +582,7 @@ def test_lp_slices_skip_empty_slices(solver_calls):
             got = eval_lr_plus(inst, lam, rho, pen)
             assert solver_calls == {"lp": table_lps + 6, "qp": 0}
             table_lps = 0
-            slicer = ald.penalized_slicer(inst, lam, pen, Fraction(rho))
+            slicer = ald.SliceSolver(inst, lam, pen, Fraction(rho))
             assert slicer.quad_free
             assert _cold_route(slicer, pen) == (
                 (got.value, got.argmin_x, got.violation), [(1, 2), (2, 1), (2, 2)])
@@ -598,7 +600,7 @@ def test_infeasible_table_slice_is_an_internal_error(monkeypatch):
     assert (got.value, got.assignment) == (-1, (0, 0))
     row = ald._slices(inst)[0]
     assert row.x2 == (0, 0)
-    target = ald.penalized_slicer(inst, lam, pen, Fraction(0)).program(row)
+    target = ald.SliceSolver(inst, lam, pen, Fraction(0)).program(row)
     solve = ald.solve_lp
 
     def failing(lp):
@@ -702,3 +704,79 @@ def test_point_path_without_dualized_rows():
         for rho in (0, 1, 4):
             assert eval_lr_plus(inst, RatVec([]), rho,
                                 parse_penalty(spec, 0)).value == z_ip
+
+
+# ------------------------------------------ argmin order over tied slices
+
+def _tied_instance(q11, c, a):
+    """n1 = n2 = 1 under 0 <= x1 <= 1 and -1 <= y <= 2, objective
+    1/2 q11 x1^2 + y^2 + c.x and one dualized row a.x = 0: an LP slice
+    when q11 = 0, else a QP slice."""
+    return MiqpInstance(
+        Q=RatMat([[q11, 0], [0, 2]]), c=RatVec(c), A=RatMat([a]), b=RatVec([0]),
+        E=RatMat([[1, 0], [-1, 0], [0, 1], [0, -1]]), f=RatVec([1, 0, 2, 1]),
+        n1=1, n2=1)
+
+
+@pytest.mark.parametrize("q11, c", [(0, [-1, 0]), (2, [-1, -1])],
+                         ids=["lp", "qp"])
+def test_solve_ip_takes_the_first_tied_slice(q11, c):
+    # x1 = y on the raw box: y = -1 and y = 2 leave 0 <= x1 <= 1 (skipped),
+    # and y = 0, y = 1 tie at 0
+    inst = _tied_instance(q11, c, [1, -1])
+    slicer = ald.SliceSolver(inst, RatVec([0]), None, 0, include_eq=True)
+    assert slicer.quad_free == (q11 == 0)
+    assert [inst.objective_value(RatVec([y, y])) for y in (0, 1)] == [0, 0]
+    rep = solve_ip(inst)
+    assert rep.status == OPTIMAL and rep.value == 0
+    assert rep.x == RatVec([0, 0])
+
+
+@pytest.mark.parametrize("q11, c, x1", [(0, [-1, -2], 1),
+                                        (2, [-1, -2], Fraction(1, 2))],
+                         ids=["lp", "qp"])
+@pytest.mark.parametrize("spec", ["linf", "sql2"])
+def test_eval_takes_the_first_tied_slice(q11, c, x1, spec):
+    # row y = 0 at lam = 0, rho = 1: the y-part y^2 - 2y + rho psi(-y) is
+    # 4, 0, 0, 2 (linf) or 4, 0, 0, 4 (sql2) at y = -1, 0, 1, 2, and x1's
+    # part is the same minimum on every slice; y = 1 has violation 1
+    inst = _tied_instance(q11, c, [0, 1])
+    pen = parse_penalty(spec, 1)
+    assert ald.SliceSolver(inst, RatVec([0]), pen, 1).quad_free == (q11 == 0)
+    got = eval_lr_plus(inst, RatVec([0]), 1, pen)
+    assert got.assignment == (0,)
+    assert got.argmin_x == RatVec([x1, 0])
+    assert got.violation == 0
+    assert got.value == inst.objective_value(RatVec([x1, 0]))
+
+
+def _unbounded_instance(quu):
+    """x = (u, v, y1, y2): u <= 0 and y1 + y2 >= 2 - u couple u to y, so
+    the box is [0, 2]^2 but (0, 0), (0, 1) and (1, 0) have empty slices;
+    v is free, and the dualized row is v = 0."""
+    Q = RatMat([[quu, 0, 0, 0]] + [[0] * 4] * 3)
+    return MiqpInstance(
+        Q=Q, c=RatVec.zeros(4), A=RatMat([[0, 1, 0, 0]]), b=RatVec([0]),
+        E=RatMat([[1, 0, 0, 0], [-1, 0, -1, -1], [0, 0, 1, 0], [0, 0, -1, 0],
+                  [0, 0, 0, 1], [0, 0, 0, -1]]),
+        f=RatVec([0, -2, 2, 0, 2, 0]), n1=2, n2=2)
+
+
+@pytest.mark.parametrize("quu", [0, 2], ids=["lp", "qp"])
+def test_eval_reports_the_first_unbounded_slice(quu):
+    # at lam = 1, rho = 0 the term -v is unbounded below on every
+    # nonempty slice: the first of them, (0, 2), is reported
+    inst = _unbounded_instance(quu)
+    table = [row.x2 for row in ald._slices(inst)]
+    assert table == [(0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+    got = eval_lr_plus(inst, RatVec([1]), 0, Penalty(LINF, 1))
+    assert got.unbounded and got.assignment == (0, 2)
+    assert (got.value, got.argmin_x, got.violation) == (None, None, None)
+
+
+def test_sweep_checks_dimensions_at_the_call(d1):
+    # a caller that prints a header before the first row sees the error first
+    with pytest.raises(DimMismatchError, match="penalty dim 2"):
+        ald.stream_gap_sweep(d1, Penalty(LINF, 2), [0, 1])
+    with pytest.raises(DimMismatchError, match="multiplier dim 2"):
+        ald.stream_gap_sweep(d1, Penalty(LINF, 1), [0, 1], lam=RatVec([1, 2]))

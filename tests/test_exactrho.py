@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from aldual.ald import (
+    SliceSolver,
     eval_lr_plus,
     ground_truth,
     lambda_bar,
-    penalized_slicer,
     solve_ip,
 )
 from aldual.errors import DeltaZeroError, DimMismatchError, UnsupportedKindError
@@ -337,8 +337,8 @@ def _own_threshold(inst, lam, pen, z_ip, row, rho_max, top):
     found apart from the route: a bisection of that slice alone over
     [0, top], where it must pass."""
     def passes(k):
-        slicer = penalized_slicer(inst, lam, pen, rho_max * k / top)
-        value = slicer.row_minimum(row)
+        slicer = SliceSolver(inst, lam, pen, rho_max * k / top)
+        value = slicer.minimum(row)[1]
         return value is not None and value >= z_ip
 
     assert passes(top)
@@ -356,7 +356,7 @@ def test_empirical_solves_each_slice_once_plus_its_raises(solver_calls):
     lam = lambda_bar(inst).lambda_bar
     pen = Penalty(LINF, inst.m)
     z_ip = solve_ip(inst).value
-    rows = penalized_slicer(inst, lam, pen, _ZERO).slices()
+    rows = SliceSolver(inst, lam, pen, _ZERO).rows()
     rho_max, halvings = Fraction(1), 10  # 1 / 2**10 is the width
     solver_calls.update(lp=0, qp=0)
     bound = rho_bisect_empirical(inst, lam, pen, rho_max)

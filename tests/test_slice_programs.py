@@ -108,19 +108,19 @@ def _slicer_pairs(inst):
     and at a second multiplier."""
     n, m = inst.n, inst.m
     zero_lam = RatVec.zeros(m)
-    pairs = [(ald._SliceSolver(inst, zero_lam, None, _ZERO, include_eq=True),
+    pairs = [(ald.SliceSolver(inst, zero_lam, None, _ZERO, include_eq=True),
               _Substitution(inst, inst.Q, inst.c, _ZERO, include_eq=True))]
     other = RatVec(Fraction((-1) ** i, i + 2) for i in range(m))
     for spec in KINDS:
         pen = parse_penalty(spec, m)
         pairs.append((
-            ald.penalized_slicer(inst, zero_lam, pen, Fraction(1), objective=False),
+            ald.SliceSolver(inst, zero_lam, pen, Fraction(1), objective=False),
             _reference(inst, RatMat.zeros(n, n), RatVec.zeros(n), _ZERO, pen,
                        Fraction(1))))
         for lam in (lambda_bar(inst).lambda_bar, lambda_bar(inst).lambda_bar + other):
             chat, const = inst.c - inst.A.tmatvec(lam), lam.dot(inst.b)
             for rho in (_ZERO, Fraction(1, 2)):
-                pairs.append((ald.penalized_slicer(inst, lam, pen, rho),
+                pairs.append((ald.SliceSolver(inst, lam, pen, rho),
                               _reference(inst, inst.Q, chat, const, pen, rho)))
     return pairs
 
@@ -141,7 +141,7 @@ def test_slice_programs_equal_the_substitution(idx):
             assert slicer.program(row) == ref.program(x2v), row.x2
             assert slicer.constant(row) == ref.constant(x2v), row.x2
         for row in table:
-            assert slicer.row_minimum(row) == ref.point_value(RatVec(row.x2))
+            assert slicer.minimum(row) == (None, ref.point_value(RatVec(row.x2)))
 
 
 def test_cases_cover_both_slice_kinds():
