@@ -11,19 +11,20 @@ inequalities written as ineq_lhs x <= ineq_rhs.  UNBOUNDED reports carry a
 feasible recession ray along which the objective strictly decreases.
 
 The LP solver is a two-phase primal simplex with Bland's rule on a
-fraction-free tableau (Edmonds; Bareiss; Gaertner 1999, "Exact arithmetic
-at low cost"): the constraint rows are scaled by one common denominator
-and the costs by their own, so every entry is a Python int, and each pivot
-is an exact integer division by the previous pivot, checked.  Positive row
-and column scalings keep the sign of every reduced cost and the ratio
-test's order and tie-break, so the pivots, and so the point, the ray and
-the duals, are those of the same simplex on a Fraction tableau.  The QP
-solver is a primal active-set method whose working set stays linearly
-independent, also with least-index (Bland) selection, so multipliers are
-unique and anti-cycling is principled rather than perturbation-based.  A
-QP given a start point begins with the independent rows active there in
-its working set (Nocedal and Wright, Numerical Optimization, 16.5), and
-carries its inequality slacks from step to step instead of recomputing
+fraction-free tableau: the constraint rows are scaled by one common
+denominator and the costs by their own, so every entry is a Python int,
+and each pivot is ``numkit.pivot``, the package's one exact elimination
+step (Edmonds; Bareiss; Gaertner 1999, "Exact arithmetic at low cost").
+Positive row and column scalings keep the sign of every reduced cost and
+the ratio test's order and tie-break, so the pivots, and so the point, the
+ray and the duals, are those of the same simplex on a Fraction tableau.
+The QP solver is a primal active-set method whose working set stays
+linearly independent, also with least-index (Bland) selection, so
+multipliers are unique and anti-cycling is principled rather than
+perturbation-based.  A QP given a start point begins with the independent
+rows active there in its working set (Nocedal and Wright, Numerical
+Optimization, 16.5; the rows are the pivot columns of ``numkit.echelon``),
+and carries its inequality slacks from step to step instead of recomputing
 them; the KKT check of the result still recomputes everything from the
 program.
 """
@@ -44,8 +45,11 @@ from .numkit import (
     RatVec,
     ceil_rat,
     common_denominator,
+    echelon,
+    int_rows,
     ldl_psd_check,
     nullspace_basis,
+    pivot,
     quad_form,
     solve_linear,
     to_wire,
@@ -150,14 +154,6 @@ class BoundednessReport:
 _MAX_PIVOTS = 200_000
 
 
-def _exact_quotients(row: list[int], det: int) -> list[int]:
-    """Each entry of ``row`` divided by ``det``, checked exact."""
-    pairs = [divmod(a, det) for a in row]
-    if any(rem for _, rem in pairs):
-        raise InternalInvariantError("inexact integer pivot division")
-    return [q for q, _ in pairs]
-
-
 def solve_lp(lp: LinearProgram) -> SolveReport:
     """Two-phase primal simplex with Bland's rule, free variables split.
 
@@ -172,24 +168,22 @@ def solve_lp(lp: LinearProgram) -> SolveReport:
     least basic variable, so the pivot sequence is fixed by the signs of
     the reduced costs and the order of the ratios.
 
-    The tableau is fraction-free (Edmonds; Bareiss; Gaertner 1999, "Exact
-    arithmetic at low cost").  The rows [A | b] are scaled by one common
-    denominator L and the slack and artificial columns left unit; the
-    phase-2 costs are scaled by their own common denominator Lc.  Every
+    The tableau is fraction-free.  The rows [A | b] are scaled by one
+    common denominator L and the slack and artificial columns left unit;
+    the phase-2 costs are scaled by their own common denominator Lc.  Every
     entry is then a Python int, the true tableau is the int tableau over
-    ``det``, the determinant of the current basis, kept positive, and a
-    pivot on (r, c) with p = T[r][c] keeps row r and sets every other entry
-    to ``(p * T[i][j] - T[i][c] * T[r][j]) // det``, a division checked
-    exact (each entry is a minor of the scaled matrix), before ``det``
-    becomes p.  A negative p, possible only when an artificial is pivoted
-    out, negates the tableau.  The scalings are positive row and column
-    factors, so they keep the sign of every reduced cost, the argmin of
-    the ratio test and its tie-break: the basis sequence, and so x, the ray
-    and the duals, are those of the same simplex on a Fraction tableau.
-    Only the slack columns and the objective need their scale undone: the
-    ray along a slack column is multiplied back by L, and the duals are
-    ``L * (c_B . T[:, art]) / (det * Lc)``.  Every number returned is a
-    Fraction.  An OPTIMAL report is KKT-checked and an UNBOUNDED one's ray
+    ``det``, the determinant of the current basis, kept positive, and each
+    pivot is :func:`numkit.pivot`: every row but the pivot row becomes
+    ``(p * T[i] - T[i][c] * T[r]) / det``, a division checked exact, the
+    tableau is negated when p < 0 (possible only when an artificial is
+    pivoted out), and ``det`` becomes |p|.  The scalings are positive row
+    and column factors, so they keep the sign of every reduced cost, the
+    argmin of the ratio test and its tie-break: the basis sequence, and so
+    x, the ray and the duals, are those of the same simplex on a Fraction
+    tableau.  Only the slack columns and the objective need their scale
+    undone: the ray along a slack column is multiplied back by L, and the
+    duals are ``L * (c_B . T[:, art]) / (det * Lc)``.  Every number
+    returned is a Fraction.  An OPTIMAL report is KKT-checked and an UNBOUNDED one's ray
     verified, both in Fractions from the program, not from the tableau.
     """
     n = len(lp.objective)
@@ -217,28 +211,6 @@ def solve_lp(lp: LinearProgram) -> SolveReport:
     basis = [nstruct + i for i in range(m)]
     det = 1
 
-    def pivot(r: int, c: int) -> None:
-        nonlocal det
-        prow = T[r]
-        p = prow[c]
-        for i, row in enumerate(T):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                row = [p * a - f * b for a, b in zip(row, prow)]
-            elif p != det:
-                row = [p * a for a in row]
-            else:
-                continue
-            T[i] = row if det == 1 else _exact_quotients(row, det)
-        if p < 0:
-            for i, row in enumerate(T):
-                T[i] = [-a for a in row]
-            p = -p
-        det = p
-        basis[r] = c
-
     def run_simplex(obj: list[int], allowed: int) -> int | None:
         """Bland pivoting on the appended objective row.
 
@@ -247,6 +219,7 @@ def solve_lp(lp: LinearProgram) -> SolveReport:
         allowed.  Returns the entering column when unbounded, else None at
         optimum.
         """
+        nonlocal det
         T.append(obj)
         try:
             for _ in range(_MAX_PIVOTS):
@@ -268,7 +241,8 @@ def solve_lp(lp: LinearProgram) -> SolveReport:
                             leave, best_a, best_b = r, a, b
                 if leave is None:
                     return enter
-                pivot(leave, enter)
+                det = pivot(T, leave, enter, det)
+                basis[leave] = enter
             raise InternalInvariantError("simplex pivot cap exceeded")
         finally:
             obj[:] = T[-1]
@@ -291,7 +265,8 @@ def solve_lp(lp: LinearProgram) -> SolveReport:
         if basis[r] >= nstruct:
             c = next((j for j in range(nstruct) if T[r][j] != 0), None)
             if c is not None:
-                pivot(r, c)
+                det = pivot(T, r, c, det)
+                basis[r] = c
 
     # phase 2 on the original costs, times Lc
     Lc = common_denominator(lp.objective)
@@ -496,36 +471,17 @@ def _active_rows(eq_rows: list[list[Fraction]], G_rows: list[list[Fraction]],
     """The inequality rows at zero slack, kept while linearly independent.
 
     Rows are taken greedily in row order: a row enters when it is not in
-    the span of the equality rows and of the rows taken before it.  The
-    span is kept as an echelon basis, one pivot column per vector; a row
-    reduced to zero against it is dependent and left out.
+    the span of the equality rows and of the rows taken before it.  Those
+    are the pivot columns :func:`numkit.echelon` finds with the candidate
+    rows, equality rows first, taken as the columns of a tableau.
     """
     active = [i for i, si in enumerate(slack) if si == 0]
     if not active:
         return []
-    basis: list[tuple[int, list[Fraction]]] = []
-
-    def enters(row: list[Fraction]) -> bool:
-        v = list(row)
-        for p, b in basis:
-            if v[p]:
-                f = v[p] / b[p]
-                v = [vi - f * bi if bi else vi for vi, bi in zip(v, b)]
-        p = next((j for j, vj in enumerate(v) if vj), None)
-        if p is not None:
-            basis.append((p, v))
-        return p is not None
-
-    n = len(G_rows[0])
-    for row in eq_rows:
-        enters(row)
-    working = []
-    for i in active:
-        if len(basis) == n:
-            break
-        if enters(G_rows[i]):
-            working.append(i)
-    return working
+    cands = int_rows(eq_rows + [G_rows[i] for i in active])
+    T = [list(col) for col in zip(*cands)]
+    m_eq = len(eq_rows)
+    return [active[k - m_eq] for k in echelon(T, len(cands))[1] if k >= m_eq]
 
 
 def _ratio_test(G_rows: list[list[Fraction]], slack: list[Fraction],

@@ -5,6 +5,13 @@ which already stores values in lowest terms with a positive denominator.
 Vectors and matrices are immutable; every operation is a pure function, so
 values are safe to share across threads.
 
+Exact elimination has one kernel here: :func:`pivot`, a fraction-free
+Gauss-Jordan step on a tableau of Python ints (Edmonds; Bareiss; Gaertner
+1999, "Exact arithmetic at low cost") whose every division is checked
+exact.  Rows of Fractions reach it through :func:`int_rows`, and
+:func:`echelon` pivots columns in order.  ``solve_linear``, the PSD test
+and ``convexsolve``'s simplex and working-set seed all pivot through it.
+
 Serialization convention: a rational renders as ``"p/q"`` (or ``"p"`` when
 the denominator is 1), base 10, with an optional leading minus on the
 numerator only.  :func:`to_wire` is the one renderer: every value in a JSON
@@ -120,15 +127,15 @@ def ceil_sqrt(value) -> int:
 _SQRT_GRID_BITS = 20
 
 
-def sqrt_upper(value, bits: int = _SQRT_GRID_BITS) -> Fraction:
-    """Smallest multiple of 2**-bits whose square is >= value.
+def sqrt_upper(value) -> Fraction:
+    """Smallest multiple of 2**-_SQRT_GRID_BITS whose square is >= value.
 
     A monotone rational upper bound on sqrt(value); exact at dyadic squares.
     """
     value = Fraction(value)
     if value < 0:
         raise ValueError("sqrt_upper of a negative value")
-    scale = 1 << bits
+    scale = 1 << _SQRT_GRID_BITS
     t = ceil_sqrt(value * scale * scale)
     return Fraction(t, scale)
 
@@ -381,75 +388,135 @@ def quad_form(M: RatMat, x: RatVec) -> Fraction:
     return x.dot(M.matvec(x))
 
 
+def int_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row of Fractions times its own common denominator, as ints."""
+    out = []
+    for row in rows:
+        den = common_denominator(row)
+        out.append([a.numerator * (den // a.denominator) for a in row])
+    return out
+
+
+def pivot(T: list[list[int]], r: int, c: int, det: int) -> int:
+    """One fraction-free Gauss-Jordan step on (r, c); returns the new det.
+
+    The integer tableau ``T`` stands for ``T / det``.  Row r is kept and
+    every other row becomes ``(p * row - row[c] * T[r]) / det`` with
+    p = T[r][c], each division checked exact (every entry is a minor of
+    the tableau ``T`` started from; Edmonds; Bareiss), so a remainder
+    raises InternalInvariantError.  A negative p negates the tableau, so
+    the returned det, |p|, stays positive.
+    """
+    prow = T[r]
+    p = prow[c]
+    for i, row in enumerate(T):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            row = [p * a - f * b for a, b in zip(row, prow)]
+        elif p != det:
+            row = [p * a for a in row]
+        else:
+            continue
+        if det != 1:
+            for j, a in enumerate(row):
+                if a:
+                    q, rem = divmod(a, det)
+                    if rem:
+                        raise InternalInvariantError("inexact integer pivot division")
+                    row[j] = q
+        T[i] = row
+    if p < 0:
+        for i, row in enumerate(T):
+            T[i] = [-a for a in row]
+        p = -p
+    return p
+
+
+def echelon(T: list[list[int]], ncols: int) -> tuple[int, list[int]]:
+    """Reduce the integer tableau ``T`` in place; returns (det, pivot columns).
+
+    Columns ``0 .. ncols-1`` are taken in order, each pivoted with
+    :func:`pivot` on the first nonzero row at or below the rows already
+    pivoted (swapped up), so the pivot columns are the first independent
+    ones.  Afterwards row i has ``det`` in the i-th pivot column and 0 in
+    the other pivot columns: ``T / det`` is in reduced row echelon form.
+    """
+    det = 1
+    cols: list[int] = []
+    for c in range(ncols):
+        r = len(cols)
+        if r == len(T):
+            break
+        pr = next((i for i in range(r, len(T)) if T[i][c]), None)
+        if pr is None:
+            continue
+        T[r], T[pr] = T[pr], T[r]
+        det = pivot(T, r, c, det)
+        cols.append(c)
+    return det, cols
+
+
 @dataclass(frozen=True)
 class PsdReport:
     """Outcome of the exact semidefiniteness test.
 
-    When ``is_psd`` the ``pivots`` are the nonzero diagonal factors of the
-    symmetric elimination; otherwise ``witness`` satisfies w^T M w < 0
-    exactly.
+    Unless ``is_psd``, ``witness`` satisfies w^T M w < 0 exactly.
     """
 
     is_psd: bool
     witness: RatVec | None
-    pivots: tuple[Fraction, ...]
 
 
 def ldl_psd_check(M: RatMat) -> PsdReport:
     """Decide M >= 0 exactly by symmetric pivoted elimination.
 
-    Pivots are taken on positive diagonal entries; a negative diagonal or a
-    zero diagonal with a nonzero residual row yields a negative-curvature
-    witness, lifted back through the elimination steps.
+    Pivots are taken with :func:`pivot` on positive diagonal entries of
+    ``int_rows(M)``: positive row scalings keep the sign of every entry of
+    each Schur complement.  A negative diagonal, or a zero diagonal with a
+    nonzero residual row, yields a negative-curvature direction in the
+    unpivoted indices; the witness lifts it by solving the pivoted rows,
+    read off the reduced tableau, and is checked in Fractions.
     """
     if not M.is_square():
         raise NotSquareError(f"matrix is {M.rows}x{M.cols}")
     if not M.is_symmetric():
         raise NotSymmetricError("matrix is not symmetric")
     n = M.rows
-    S = M.row_list()
+    T = int_rows(M.row_list())
+    det = 1
+    pivoted: list[int] = []
     active = list(range(n))
-    # each step: (pivot index, pivot value, pivot row restricted to then-active indices)
-    steps: list[tuple[int, Fraction, dict[int, Fraction]]] = []
-    pivots: list[Fraction] = []
 
-    def lift(vcur: dict[int, Fraction]) -> RatVec:
-        for p, d, prow in reversed(steps):
-            s = sum((prow[j] * vj for j, vj in vcur.items() if j != p), _ZERO)
-            vcur[p] = -s / d
+    def lift(free: dict[int, Fraction]) -> PsdReport:
         full = [_ZERO] * n
-        for j, vj in vcur.items():
+        for j, vj in free.items():
             full[j] = vj
-        w = RatVec(full)
+        # each pivoted row of T / det reads w_p + sum_j T[p][j] w_j / det = 0
+        for p in pivoted:
+            full[p] = -sum(T[p][j] * vj for j, vj in free.items()) / det
+        w = RatVec._trusted(tuple(full))
         if quad_form(M, w) >= 0:
             raise InternalInvariantError("lifted witness lost negative curvature")
-        return w
+        return PsdReport(False, w)
 
     while active:
-        neg = next((i for i in active if S[i][i] < 0), None)
+        neg = next((i for i in active if T[i][i] < 0), None)
         if neg is not None:
-            return PsdReport(False, lift({neg: _ONE}), tuple(pivots))
-        pos = next((i for i in active if S[i][i] > 0), None)
+            return lift({neg: _ONE})
+        pos = next((i for i in active if T[i][i] > 0), None)
         if pos is None:
             # all remaining diagonals are zero: rows must vanish entirely
             for ai, i in enumerate(active):
                 for j in active[ai + 1 :]:
-                    if S[i][j] != 0:
-                        t = -_ONE if S[i][j] > 0 else _ONE
-                        return PsdReport(False, lift({i: _ONE, j: t}), tuple(pivots))
-            return PsdReport(True, None, tuple(pivots))
-        d = S[pos][pos]
-        prow = {j: S[pos][j] for j in active}
-        steps.append((pos, d, prow))
-        pivots.append(d)
+                    if T[i][j] != 0:
+                        return lift({i: _ONE, j: -_ONE if T[i][j] > 0 else _ONE})
+            break
+        det = pivot(T, pos, pos, det)
+        pivoted.append(pos)
         active.remove(pos)
-        for i in active:
-            si = S[pos][i]
-            if si == 0:
-                continue
-            for j in active:
-                S[i][j] -= si * S[pos][j] / d
-    return PsdReport(True, None, tuple(pivots))
+    return PsdReport(True, None)
 
 
 UNIQUE = "unique"
@@ -473,73 +540,37 @@ class LinearSolveReport:
 
 
 def solve_linear(M: RatMat, v: RatVec) -> LinearSolveReport:
-    """Solve M x = v by fraction-free (Bareiss) Gaussian elimination.
+    """Solve M x = v by fraction-free Gauss-Jordan elimination.
 
-    Each row of [M | v] is scaled to integers and the elimination runs on
-    Python ints: every update ``(piv * a - factor * b) // prev`` is an exact
-    division by the previous pivot (Sylvester's identity), checked, so a
-    nonzero remainder raises InternalInvariantError.  Columns are taken in
-    order; a column without a pivot is free.  Back-substitution is in
-    Fractions.
+    Each row of [M | v] is scaled to integers (:func:`int_rows`) and
+    reduced by :func:`echelon` on the columns of M, on Python ints with
+    every division checked exact.  A column without a pivot is free.  The
+    solution (free variables at zero) and one kernel vector per free
+    column are read off the reduced tableau over its ``det``.
     """
     if M.rows != len(v):
         raise DimMismatchError(f"solve_linear: {M.rows} rows vs rhs dim {len(v)}")
-    nr, nc = M.rows, M.cols
-    aug = []
-    for row, vi in zip(M.row_list(), v):
-        row.append(vi)
-        den = common_denominator(row)
-        aug.append([a.numerator * (den // a.denominator) for a in row])
+    nc = M.cols
+    T = int_rows(row + [vi] for row, vi in zip(M.row_list(), v))
+    det, pivot_cols = echelon(T, nc)
+    rank = len(pivot_cols)
+    if any(row[nc] for row in T[rank:]):
+        return LinearSolveReport(INCONSISTENT, None, rank, ())
 
-    prev = 1
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        prow = aug[r]
-        piv = prow[c]
-        for i in range(r + 1, nr):
-            row = aug[i]
-            factor = row[c]
-            for j in range(c, nc + 1):
-                q, rem = divmod(piv * row[j] - factor * prow[j], prev)
-                if rem:
-                    raise InternalInvariantError("inexact Bareiss division")
-                row[j] = q
-        prev = piv
-        pivot_cols.append(c)
-        r += 1
-        if r == nr:
-            break
-    rank = r
-
-    for i in range(rank, nr):
-        if aug[i][nc] != 0:
-            return LinearSolveReport(INCONSISTENT, None, rank, ())
-
-    def back_substitute(rhs_col: list[int], free_assign: dict[int, Fraction]):
+    def read(col: int, sign: int) -> list[Fraction]:
         x = [_ZERO] * nc
-        for j, val in free_assign.items():
-            x[j] = val
-        for i in range(rank - 1, -1, -1):
-            c = pivot_cols[i]
-            s = Fraction(rhs_col[i])
-            for j in range(c + 1, nc):
-                if aug[i][j] != 0 and x[j] != 0:
-                    s -= aug[i][j] * x[j]
-            x[c] = s / aug[i][c]
+        for row, c in zip(T, pivot_cols):
+            if row[col]:
+                x[c] = Fraction(sign * row[col], det)
         return x
 
     free_cols = [j for j in range(nc) if j not in pivot_cols]
-    particular = RatVec._trusted(tuple(
-        back_substitute([aug[i][nc] for i in range(rank)], {})))
+    particular = RatVec._trusted(tuple(read(nc, 1)))
     basis = []
-    zero_rhs = [0] * rank
     for fc in free_cols:
-        basis.append(RatVec._trusted(tuple(back_substitute(zero_rhs, {fc: _ONE}))))
+        z = read(fc, -1)
+        z[fc] = _ONE
+        basis.append(RatVec._trusted(tuple(z)))
     status = UNIQUE if not free_cols else UNDERDETERMINED
     return LinearSolveReport(status, particular, rank, tuple(basis))
 

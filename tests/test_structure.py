@@ -11,7 +11,10 @@ guarantee its entries are Fractions.  Nor does any other module read a
 through ``row_list``, ``row`` and iteration, so the storage stays
 ``numkit``'s to change.  Only ``ald`` calls a method named
 ``assignments``: every other module walks the slices through ``ald``'s
-slice table, not its own loop over the raw integer box.
+slice table, not its own loop over the raw integer box.  Only ``numkit``
+calls ``divmod``: checked exact division, and so the fraction-free
+elimination kernel (``numkit.pivot``) every exact solver pivots through,
+lives in one module.
 """
 
 import ast
@@ -88,3 +91,13 @@ def test_only_numkit_reads_matrix_internals(path):
     reads = [f"{node.attr} (line {node.lineno})" for node in ast.walk(_tree(path))
              if isinstance(node, ast.Attribute) and node.attr in ("_rows", "_e")]
     assert reads == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "numkit"],
+                         ids=lambda p: p.name)
+def test_only_numkit_calls_divmod(path):
+    calls = [f"line {node.lineno}" for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call)
+             and "divmod" in (getattr(node.func, "id", None),
+                              getattr(node.func, "attr", None))]
+    assert calls == []
