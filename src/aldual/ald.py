@@ -8,13 +8,23 @@ the nonempty slices E1 x1 <= f - E2 x2 with a point of each (a slice's set
 does not depend on the objective): checked directly when n1 = 0, where
 each subproblem is that point, evaluated with no solver; else found by
 one LP per box point.  Each row also carries the slice's x2-only terms,
-from which every slice program of every relaxation (lam, pen, rho) is
-assembled.  A ``SliceSolver`` at one (lam, pen, rho) is the one walk over
-the slices: ``rows`` lists them, ``minimum`` evaluates one, and ``argmin``
-finds the first of least minimum, from which ``solve_ip`` and
-``eval_lr_plus`` build their reports; ``exactrho``'s certificate routes
-walk ``rows`` slice by slice.  An empty slice takes no solve, and QP
-slices start at the table's point.
+evaluated on Python ints by ``numkit``'s integer point kernels, from which
+every slice program of every relaxation (lam, pen, rho) is assembled.  A
+``SliceSolver`` at one (lam, pen, rho) is the one walk over the slices:
+``rows`` lists them, ``minimum`` evaluates one, and ``argmin`` finds the
+first of least minimum, from which ``solve_ip`` and ``eval_lr_plus`` build
+their reports; ``exactrho``'s certificate routes walk ``rows`` slice by
+slice.  An empty slice takes no solve, and QP slices start at the table's
+point.
+
+On a pure-integer instance a point's value f2 + lam.r2 + rho psi(r2)
+depends on the point only through f2 and its residual r2, so points of
+equal r2 (a residual class) differ by f2 alone, at every (lam, rho).  The
+walks that seek a least minimum (``argmin``, hence ``solve_ip``,
+``eval_lr_plus`` and all built on it, and the bisection oracle) visit
+``candidates``: one row per class, its first of least f2
+(``_point_classes``), which gives the same results; ``rows`` still lists
+every slice.
 """
 
 from __future__ import annotations
@@ -45,7 +55,16 @@ from .errors import (
     UnboundedIntegerVarError,
 )
 from .instance import MiqpInstance
-from .numkit import RatMat, RatVec, ceil_rat, floor_rat, rat, to_wire
+from .numkit import (
+    RatMat,
+    RatVec,
+    affine_at_ints,
+    ceil_rat,
+    floor_rat,
+    quadratic_at_ints,
+    rat,
+    to_wire,
+)
 
 _ZERO = Fraction(0)
 
@@ -151,15 +170,15 @@ class SliceRow(NamedTuple):
 
 
 def _box_rows(inst: MiqpInstance, points):
-    """The SliceRow of each integer point, x1 left None."""
+    """The SliceRow of each integer point, x1 left None, its terms
+    evaluated on Python ints (``affine_at_ints``, ``quadratic_at_ints``)."""
     A2, E2 = inst.split_cols(inst.A)[1], inst.split_cols(inst.E)[1]
     _, Q12, Q22 = inst.q_blocks()
     c1, c2 = inst.c_split()
+    r2_at, s2_at = affine_at_ints(inst.b, A2), affine_at_ints(inst.f, E2)
+    g1_at, f2_at = affine_at_ints(c1, Q12.scale(-1)), quadratic_at_ints(Q22, c2)
     for x2 in points:
-        x2v = RatVec(x2)
-        yield SliceRow(x2, inst.b - A2.matvec(x2v), inst.f - E2.matvec(x2v),
-                       c2.dot(x2v) + x2v.dot(Q22.matvec(x2v)) / 2,
-                       c1 + Q12.matvec(x2v), None)
+        yield SliceRow(x2, r2_at(x2), s2_at(x2), f2_at(x2), g1_at(x2), None)
 
 
 @_per_instance
@@ -182,6 +201,20 @@ def _slices(inst: MiqpInstance) -> tuple[SliceRow, ...]:
             x1 = rep.x
         table.append(row._replace(x1=x1))
     return tuple(table)
+
+
+@_per_instance
+def _point_classes(inst: MiqpInstance) -> tuple[SliceRow, ...]:
+    """One row per residual class of a pure-integer table: for each
+    distinct r2, the class's first row of least f2, in table order (see
+    ``SliceSolver`` for why these are the rows a least minimum needs)."""
+    best: dict[RatVec, SliceRow] = {}
+    table = _slices(inst)
+    for row in table:
+        rep = best.get(row.r2)
+        if rep is None or row.f2 < rep.f2:
+            best[row.r2] = row
+    return tuple(row for row in table if best[row.r2] is row)
 
 
 @_per_instance
@@ -228,7 +261,13 @@ class SliceSolver:
     rho; ``include_eq`` (solve_ip) adds [A1 | 0] = r2.  rho = 0, or no
     dualized rows, drops the penalty.  A point slice (n1 = 0) is
     s f2 + lam.r2 + rho psi(r2), in closed form.  The walk is ``rows``,
-    ``minimum`` of each and ``argmin`` over them.
+    ``minimum`` of each and ``argmin`` over ``candidates``: ``rows``, or
+    with s = 1 on a pure-integer instance one row per residual class.
+    Within a class the values differ only by f2, at every (lam, rho), so
+    the first row of least value over ``rows`` is its class's first row of
+    least f2, a candidate, and no earlier candidate reaches its value; and
+    each class's least value at every (lam, rho), and with it the weight
+    at which the class's value reaches a threshold, is its candidate's.
     """
 
     def __init__(self, inst: MiqpInstance, lam: RatVec, pen: pen_mod.Penalty | None,
@@ -300,6 +339,18 @@ class SliceSolver:
             return _box_rows(inst, integer_box(inst).assignments())
         return (row for row in _slices(inst) if row.r2.is_zero())
 
+    def candidates(self) -> Iterable[SliceRow]:
+        """The rows a least minimum is sought over, in ``rows()`` order:
+        ``rows()`` itself, except with the objective (s = 1) on a
+        pure-integer instance, where it is the rows of ``_point_classes``
+        among them, one per residual class."""
+        inst = self.inst
+        if inst.n1 or not self.s:
+            return self.rows()
+        if self.include_eq:
+            return [row for row in _point_classes(inst) if row.r2.is_zero()]
+        return _point_classes(inst)
+
     def minimum(self, row: SliceRow) -> tuple[SolveReport | None, Fraction | None]:
         """One ``rows()`` row's report and slice minimum, the minimum None
         unless OPTIMAL: a point slice (n1 = 0) in closed form, with no
@@ -313,11 +364,11 @@ class SliceSolver:
 
     def argmin(self) -> tuple[SliceRow, SolveReport | None, Fraction | None] | None:
         """``(row, report, value)`` of the first slice in ``rows()`` order
-        of least minimum; the first slice unbounded below ends the walk,
-        with value None.  An INFEASIBLE (raw-box) row is skipped, and None
-        means no slice is feasible."""
+        of least minimum, walking ``candidates()``; the first slice
+        unbounded below ends the walk, with value None.  An INFEASIBLE
+        (raw-box) row is skipped, and None means no slice is feasible."""
         best = None
-        for row in self.rows():
+        for row in self.candidates():
             rep, value = self.minimum(row)
             if value is None:
                 if rep.status == INFEASIBLE:

@@ -11,6 +11,7 @@ where boundedness is required, or an unbounded integer variable);
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -262,7 +263,11 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process and shared: parsing
+    leaves it unchanged, and each ``main`` call parses into a fresh
+    namespace."""
     parser = _Parser(prog="aldual",
                      description="Exact duality toolkit for mixed integer QP")
     sub = parser.add_subparsers(dest="command", required=True)

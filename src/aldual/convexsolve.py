@@ -47,6 +47,7 @@ from .numkit import (
     common_denominator,
     echelon,
     int_rows,
+    kkt_matrix,
     ldl_psd_check,
     nullspace_basis,
     pivot,
@@ -398,7 +399,6 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None) -> SolveReport:
             raise InternalInvariantError("start point violates an equality row")
         x = x0
 
-    Q_rows = qp.Qobj.row_list()
     eq_rows = qp.eq_lhs.row_list()
     G_rows = qp.ineq_lhs.row_list()
     m_eq, m_in = len(eq_rows), len(G_rows)
@@ -410,10 +410,10 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None) -> SolveReport:
     max_iters = 500 + 30 * (n + m_in + m_eq) ** 2
     for _ in range(max_iters):
         g = qp.Qobj.matvec(x) + qp.cobj
-        C = eq_rows + [G_rows[i] for i in working]
-        K = RatMat([Q_rows[j] + [row[j] for row in C] for j in range(n)]
-                   + [row + [_ZERO] * len(C) for row in C], cols=n + len(C))
-        sol = solve_linear(K, RatVec(list(-g) + [_ZERO] * len(C)))
+        C = RatMat.vstack([qp.eq_lhs, qp.ineq_lhs.submatrix(working, range(n))],
+                          cols=n)
+        K = kkt_matrix(qp.Qobj, C)
+        sol = solve_linear(K, RatVec(list(-g) + [_ZERO] * C.rows))
         if sol.status == INCONSISTENT:
             d = next((z[:n] for z in nullspace_basis(K) if g.dot(z[:n]) != 0),
                      None)

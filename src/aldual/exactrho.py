@@ -180,15 +180,16 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty) -> RhoCertificate:
     return _issue(inst, duals.lambda_bar, rho_star, pen, SUFFICIENT, evidence)
 
 
-def _dual_probe(inst: MiqpInstance, lam: RatVec, blocks: tuple, slicer,
-                row, rho: Fraction) -> DualAssignmentRecord:
+def _dual_probe(inst: MiqpInstance, blocks: tuple, slicer, row,
+                rho: Fraction) -> DualAssignmentRecord:
     """Solve one table row's max-norm subproblem at weight rho, cold
     (``slicer`` is the relaxation's slicer at (lam, rho)), and extract the
     exact dual point.  The epigraph rows hold for a large enough w, so a
     report other than OPTIMAL raises InternalInvariantError; the record's
     dual objective equals the subproblem value by strong duality, checked
     exactly along with the multiplier identities, from the instance's
-    ``blocks`` (Q11, Q12, Q22, A1, A2, E1, E2, c1, c2), not from the row.
+    ``blocks`` at lam (Q11, Q12, Q22, A1, A2, E1, E2, c1 - A1^T lam,
+    c2 - A2^T lam, lam.b), not from the row.
     """
     rep, value = slicer.solve(row._replace(x1=None))
     if rep.status != OPTIMAL:
@@ -203,21 +204,21 @@ def _dual_probe(inst: MiqpInstance, lam: RatVec, blocks: tuple, slicer,
     zeros1 = RatVec.zeros(n1)
     nu = -RatVec(rep.x[:n1])
     x2v = RatVec(row.x2)
-    Q11, Q12, Q22, A1, A2, E1, E2, c1, c2 = blocks
+    Q11, Q12, Q22, A1, A2, E1, E2, c1_lam, c2_lam, lam_b = blocks
 
     if sum(y1, _ZERO) + sum(y2, _ZERO) != rho:
         raise InternalInvariantError("residual-row multipliers do not sum to rho")
-    lhs = c1 - A1.tmatvec(lam) + Q12.matvec(x2v) + A1.tmatvec(y1 - y2) \
-        + E1.tmatvec(y3)
+    lhs = c1_lam + Q12.matvec(x2v) + A1.tmatvec(y1 - y2) + E1.tmatvec(y3)
     if lhs != Q11.tmatvec(nu):
         raise InternalInvariantError("dual stationarity row failed")
+    excess = A2.matvec(x2v) - inst.b
     dual_value = (
         -nu.dot(Q11.matvec(nu)) / 2
-        + (A2.matvec(x2v) - inst.b).dot(y1)
-        - (A2.matvec(x2v) - inst.b).dot(y2)
+        + excess.dot(y1)
+        - excess.dot(y2)
         + (E2.matvec(x2v) - inst.f).dot(y3)
-        + lam.dot(inst.b)
-        + (c2 - A2.tmatvec(lam)).dot(x2v)
+        + lam_b
+        + c2_lam.dot(x2v)
         + x2v.dot(Q22.matvec(x2v)) / 2
     )
     if dual_value != value:
@@ -243,11 +244,13 @@ def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
         return _issue(inst, lam, _ONE, pen_linf, DUAL_LINF, DualLinfEvidence(()))
 
     slicer = cache(partial(SliceSolver, inst, lam, pen_linf))
-    blocks = (*inst.q_blocks(), *inst.split_cols(inst.A),
-              *inst.split_cols(inst.E), *inst.c_split())
+    A1, A2 = inst.split_cols(inst.A)
+    c1, c2 = inst.c_split()
+    blocks = (*inst.q_blocks(), A1, A2, *inst.split_cols(inst.E),
+              c1 - A1.tmatvec(lam), c2 - A2.tmatvec(lam), lam.dot(inst.b))
 
     def probe(row, rho):
-        return _dual_probe(inst, lam, blocks, slicer(rho), row, rho)
+        return _dual_probe(inst, blocks, slicer(rho), row, rho)
 
     records: list[DualAssignmentRecord] = []
     current = _ONE
@@ -372,7 +375,7 @@ def rho_bisect_empirical(inst: MiqpInstance, lam: RatVec,
         return value is not None and value >= z_ip
 
     k = 0
-    for row in first.rows():
+    for row in first.candidates():
         if passes(row, k):
             continue
         if not passes(row, top):

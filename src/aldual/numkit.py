@@ -12,6 +12,16 @@ exact.  Rows of Fractions reach it through :func:`int_rows`, and
 :func:`echelon` pivots columns in order.  ``solve_linear``, the PSD test
 and ``convexsolve``'s simplex and working-set seed all pivot through it.
 
+Integer points have one kernel too: :func:`affine_at_ints` evaluates
+``base - M x`` at an integer x with each row of ``[M | base]`` scaled once
+by its own common denominator, so a point costs one int sum and one
+Fraction per entry; :func:`quadratic_at_ints` does the same for
+``c.x + 1/2 x^T Q x`` over one denominator.  ``ald``'s slice table is built
+with them.  Vector and matrix operations build their results with the
+private ``_trusted`` constructors, which skip the public constructors'
+coercion: only this module's operations, whose entries are Fractions
+already, may call them.
+
 Serialization convention: a rational renders as ``"p/q"`` (or ``"p"`` when
 the denominator is 1), base 10, with an optional leading minus on the
 numerator only.  :func:`to_wire` is the one renderer: every value in a JSON
@@ -220,7 +230,13 @@ class RatVec(Sequence):
 
 
 class RatMat:
-    """Immutable row-major matrix of exact rationals."""
+    """Immutable row-major matrix of exact rationals.
+
+    The constructor coerces every entry through :func:`rat` and checks the
+    shape.  The module's own block operations build their results with
+    :meth:`_trusted`, which skips both: their rows are tuples of Fractions
+    of one width already.
+    """
 
     __slots__ = ("_rows", "rows", "cols")
 
@@ -240,18 +256,26 @@ class RatMat:
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
 
+    @classmethod
+    def _trusted(cls, rows: tuple, cols: int) -> "RatMat":
+        """Wrap a tuple of ``cols``-long tuples of Fractions, unchecked."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "_rows", rows)
+        object.__setattr__(M, "rows", len(rows))
+        object.__setattr__(M, "cols", cols)
+        return M
+
     def __setattr__(self, name, value):
         raise AttributeError("RatMat is immutable")
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMat":
-        return RatMat([[_ZERO] * cols for _ in range(rows)], cols=cols)
+        return RatMat._trusted(((_ZERO,) * cols,) * rows, cols)
 
     @staticmethod
     def identity(n: int) -> "RatMat":
-        return RatMat(
-            [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], cols=n
-        )
+        return RatMat._trusted(tuple(
+            tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)), n)
 
     @staticmethod
     def vstack(parts: Sequence["RatMat"], cols: int | None = None) -> "RatMat":
@@ -260,10 +284,12 @@ class RatMat:
             raise DimMismatchError("vstack with differing column counts")
         if cols is None:
             cols = widths.pop() if widths else 0
-        rows = []
+        elif widths and cols not in widths:
+            raise DimMismatchError(f"expected {cols} columns, got {widths.pop()}")
+        rows: tuple = ()
         for p in parts:
-            rows.extend(p._rows)
-        return RatMat(rows, cols=cols)
+            rows += p._rows
+        return RatMat._trusted(rows, cols)
 
     @staticmethod
     def hstack(parts: Sequence["RatMat"]) -> "RatMat":
@@ -273,11 +299,11 @@ class RatMat:
         n = heights.pop() if heights else 0
         rows = []
         for i in range(n):
-            row: list = []
+            row: tuple = ()
             for p in parts:
-                row.extend(p._rows[i])
+                row += p._rows[i]
             rows.append(row)
-        return RatMat(rows, cols=sum(p.cols for p in parts))
+        return RatMat._trusted(tuple(rows), sum(p.cols for p in parts))
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
@@ -291,9 +317,8 @@ class RatMat:
         return [list(r) for r in self._rows]
 
     def transpose(self) -> "RatMat":
-        return RatMat(
-            ([r[j] for r in self._rows] for j in range(self.cols)), cols=self.rows
-        )
+        return RatMat._trusted(tuple(zip(*self._rows)) if self.rows
+                               else ((),) * self.cols, self.rows)
 
     def matvec(self, v: RatVec) -> RatVec:
         """M v, summing each row over its nonzero entries only."""
@@ -323,33 +348,31 @@ class RatMat:
         if self.cols != other.rows:
             raise DimMismatchError("matmul dims")
         ot = other.transpose()
-        return RatMat(
-            (
-                [sum((a * b for a, b in zip(row, orow)), _ZERO) for orow in ot._rows]
-                for row in self._rows
-            ),
-            cols=other.cols,
-        )
+        return RatMat._trusted(tuple(
+            tuple(sum((a * b for a, b in zip(row, orow)), _ZERO) for orow in ot._rows)
+            for row in self._rows), other.cols)
 
     def __add__(self, other: "RatMat") -> "RatMat":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimMismatchError("matrix add dims")
-        return RatMat(
-            ([a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)),
-            cols=self.cols,
-        )
+        return RatMat._trusted(tuple(
+            tuple(a + b for a, b in zip(r1, r2))
+            for r1, r2 in zip(self._rows, other._rows)), self.cols)
 
     def scale(self, k) -> "RatMat":
         k = rat(k)
-        return RatMat(([k * a for a in row] for row in self._rows), cols=self.cols)
+        return RatMat._trusted(tuple(tuple(k * a for a in row) for row in self._rows),
+                               self.cols)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMat":
-        return RatMat(
-            ([self._rows[i][j] for j in col_idx] for i in row_idx), cols=len(col_idx)
-        )
+        rows = self._rows
+        return RatMat._trusted(tuple(tuple(rows[i][j] for j in col_idx)
+                                     for i in row_idx), len(col_idx))
 
     def col_block(self, j0: int, j1: int) -> "RatMat":
-        return RatMat(([r[j0:j1] for r in self._rows]), cols=j1 - j0)
+        if not 0 <= j0 <= j1 <= self.cols:
+            raise DimMismatchError(f"col_block {j0}:{j1} of {self.cols} columns")
+        return RatMat._trusted(tuple(r[j0:j1] for r in self._rows), j1 - j0)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -386,6 +409,74 @@ class RatMat:
 def quad_form(M: RatMat, x: RatVec) -> Fraction:
     """x^T M x."""
     return x.dot(M.matvec(x))
+
+
+def kkt_matrix(Q: RatMat, C: RatMat) -> RatMat:
+    """The saddle-point matrix [[Q, C^T], [C, 0]] of Q (n x n) and C."""
+    if not Q.is_square() or C.cols != Q.cols:
+        raise DimMismatchError(f"kkt_matrix: Q {Q.rows}x{Q.cols}, C {C.rows}x{C.cols}")
+    width = Q.cols + C.rows
+    tail = (_ZERO,) * C.rows
+    return RatMat._trusted(
+        tuple(q + c for q, c in zip(Q._rows, C.transpose()._rows))
+        + tuple(c + tail for c in C._rows), width)
+
+
+def affine_at_ints(base: RatVec, M: RatMat):
+    """The map x -> base - M x at integer points x, on Python ints.
+
+    Each row of [M | base] is scaled once by its own common denominator
+    (as :func:`int_rows` scales), keeping its nonzero entries.  At a point
+    each row is one int sum, and each entry of the result one Fraction of
+    it over the row's denominator: the exact value, in lowest terms.
+    """
+    if M.rows != len(base):
+        raise DimMismatchError(f"affine_at_ints: {M.rows} rows vs base dim {len(base)}")
+    terms = []
+    for row, b in zip(M._rows, base._e):
+        den = lcm(common_denominator(row), b.denominator)
+        terms.append((b.numerator * (den // b.denominator),
+                      tuple((j, a.numerator * (den // a.denominator))
+                            for j, a in enumerate(row) if a), den))
+    ncols = M.cols
+
+    def at(x: Sequence[int]) -> RatVec:
+        if len(x) != ncols:
+            raise DimMismatchError(f"affine_at_ints: {ncols} columns vs point dim {len(x)}")
+        out = []
+        for num, coeffs, den in terms:
+            for j, a in coeffs:
+                num -= a * x[j]
+            out.append(Fraction(num, den))
+        return RatVec._trusted(tuple(out))
+
+    return at
+
+
+def quadratic_at_ints(Q: RatMat, c: RatVec):
+    """The map x -> c.x + 1/2 x^T Q x at integer points x, on Python ints:
+    Q and c are scaled once by one common denominator L, and each value is
+    one Fraction of an int over 2 L."""
+    if not Q.is_square() or Q.cols != len(c):
+        raise DimMismatchError(f"quadratic_at_ints: Q {Q.rows}x{Q.cols}, c dim {len(c)}")
+    L = lcm(common_denominator(c._e), *(common_denominator(row) for row in Q._rows))
+    lin = tuple((j, 2 * a.numerator * (L // a.denominator))
+                for j, a in enumerate(c._e) if a)
+    quad = tuple((i, j, a.numerator * (L // a.denominator))
+                 for i, row in enumerate(Q._rows) for j, a in enumerate(row) if a)
+    den = 2 * L
+
+    def at(x: Sequence[int]) -> Fraction:
+        if len(x) != len(c):
+            raise DimMismatchError(f"quadratic_at_ints: dim {len(c)} vs point dim {len(x)}")
+        num = 0
+        for j, a in lin:
+            num += a * x[j]
+        for i, j, a in quad:
+            num += a * x[i] * x[j]
+        return Fraction(num, den)
+
+    return at
 
 
 def int_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from aldual import ald, exactrho
+from aldual import ald, cli, exactrho
 from aldual.cli import main, parse_rho_schedule, UsageError
 from aldual.errors import (
     DimMismatchError,
@@ -241,6 +241,33 @@ def test_gen_pure_continuous_no_gap(tmp_path, capsys):
         assert doc["z_ip"] == doc["z_nlp"]
     else:
         assert code == 2  # unbounded relaxation is legitimate here
+
+
+def test_shared_parser_gives_the_fresh_parser_bytes(d1_path, capsys,
+                                                    monkeypatch):
+    # one parser serves every call: the norm:KIND rewrite of args.penalty
+    # and a usage error leave nothing behind for the next command
+    calls = [
+        ["rho", "--instance", d1_path, "--penalty", "linf", "--method", "norm:l1"],
+        ["sweep", "--instance", d1_path, "--penalty", "linf", "--rhos", "0,1,4"],
+        ["sweep", "--instance", d1_path, "--penalty", "linf"],
+        ["rho", "--instance", d1_path, "--penalty", "linf", "--method",
+         "dual-linf"],
+    ]
+
+    def run():
+        out = []
+        for argv in calls:
+            code = main(argv)
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = run()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert run() == shared
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0]
 
 
 def test_unknown_flag_is_input_error(d1_path):

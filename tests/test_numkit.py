@@ -20,6 +20,7 @@ from aldual.numkit import (
     UNIQUE,
     ceil_sqrt,
     format_rat,
+    kkt_matrix,
     ldl_psd_check,
     parse_rat,
     quad_form,
@@ -256,6 +257,53 @@ def test_mat_products_match_plain_lists(case):
                          for j in range(cols)]
     assert len(Mx) == len(A) and len(MTy) == cols
     assert _all_fractions(Mx) and _all_fractions(MTy)
+
+
+@_DERANDOMIZED
+@given(_mat_case(), _entries, st.data())
+def test_block_ops_match_plain_lists(case, k, data):
+    # the block operations build their results unchecked: each must equal
+    # the matrix the checking constructor builds from plain lists
+    rows, cols, x, _ = case
+    M = RatMat(rows, cols=cols)
+    A = [[Fraction(e) for e in row] for row in rows]
+    At = [[A[i][j] for i in range(len(A))] for j in range(cols)]
+    k = Fraction(k)
+    j0 = data.draw(st.integers(0, cols))
+    j1 = data.draw(st.integers(j0, cols))
+    idx = data.draw(st.lists(st.integers(0, len(A) - 1), max_size=3)) if A else []
+    n = len(A)
+    Q = RatMat([[A[i][j] if j < cols else 0 for j in range(n)] for i in range(n)],
+               cols=n)
+    C = RatMat(At, cols=n)
+    for got, want_rows, want_cols in [
+        (M.transpose(), At, len(A)),
+        (M.scale(k), [[k * a for a in row] for row in A], cols),
+        (M + M, [[2 * a for a in row] for row in A], cols),
+        (M.col_block(j0, j1), [row[j0:j1] for row in A], j1 - j0),
+        (M.submatrix(idx, range(cols)), [A[i] for i in idx], cols),
+        (RatMat.vstack([M, M.submatrix(idx, range(cols))], cols=cols),
+         A + [A[i] for i in idx], cols),
+        (RatMat.hstack([M, M]), [row + row for row in A], 2 * cols),
+        (M.matmul(M.transpose()),
+         [[sum((a * b for a, b in zip(r, s)), Fraction(0)) for s in A] for r in A],
+         len(A)),
+        (RatMat.zeros(len(A), cols), [[0] * cols for _ in A], cols),
+        (RatMat.identity(cols), [[int(i == j) for j in range(cols)]
+                                 for i in range(cols)], cols),
+        (kkt_matrix(Q, C),
+         [Q.row_list()[i] + [At[j][i] for j in range(cols)] for i in range(n)]
+         + [row + [0] * cols for row in At], n + cols),
+    ]:
+        assert got == RatMat(want_rows, cols=want_cols)
+        assert (got.rows, got.cols) == (len(want_rows), want_cols)
+        assert all(_all_fractions(got.row(i)) for i in range(got.rows))
+    with pytest.raises(DimMismatchError):
+        M.col_block(0, cols + 1)
+    with pytest.raises(DimMismatchError):
+        RatMat.vstack([RatMat([[0]]), M], cols=2)
+    with pytest.raises(DimMismatchError):
+        kkt_matrix(Q, RatMat([], cols=n + 1))
 
 
 # ---------------------------------------------------------------- PSD test

@@ -4,9 +4,10 @@ No module imports an underscore-prefixed name from another aldual module,
 every import sits at module level (none inside a function body), and only
 ``numkit`` calls ``format_rat``: every other module renders through
 ``numkit.to_wire``, so the wire format is known in one place.  Only
-``numkit`` calls ``RatVec._trusted``, the constructor that skips coercion:
-an unchecked vector cannot be built outside the module whose operations
-guarantee its entries are Fractions.  Nor does any other module read a
+``numkit`` calls ``RatVec._trusted`` or ``RatMat._trusted``, the
+constructors that skip coercion (and, for matrices, the shape check): an
+unchecked vector or matrix cannot be built outside the module whose
+operations guarantee its entries are Fractions.  Nor does any other module read a
 ``RatMat``/``RatVec`` internal (``._rows``, ``._e``): they read entries
 through ``row_list``, ``row`` and iteration, so the storage stays
 ``numkit``'s to change.  Only ``ald`` calls a method named
@@ -76,13 +77,21 @@ def test_only_ald_walks_the_integer_box(path):
     assert calls == []
 
 
+def _trusted_calls(tree):
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "_trusted"]
+
+
+def test_trusted_rule_covers_vectors_and_matrices():
+    tree = ast.parse("RatVec._trusted(e)\nRatMat._trusted(rows, cols)\n")
+    assert _trusted_calls(tree) == ["line 1", "line 2"]
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "numkit"],
                          ids=lambda p: p.name)
 def test_only_numkit_builds_trusted_vectors(path):
-    calls = [f"line {node.lineno}" for node in ast.walk(_tree(path))
-             if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", None) == "_trusted"]
-    assert calls == []
+    assert _trusted_calls(_tree(path)) == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "numkit"],
