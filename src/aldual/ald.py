@@ -12,10 +12,13 @@ evaluated on Python ints by ``numkit``'s integer point kernels, from which
 every slice program of every relaxation (lam, pen, rho) is assembled.  A
 ``SliceSolver`` at one (lam, pen, rho) is the one walk over the slices:
 ``rows`` lists them, ``minimum`` evaluates one, and ``argmin`` finds the
-first of least minimum, from which ``solve_ip`` and ``eval_lr_plus`` build
-their reports; ``exactrho``'s certificate routes walk ``rows`` slice by
-slice.  An empty slice takes no solve, and QP slices start at the table's
-point.
+first of least minimum, from which ``solve_ip`` and ``SliceFamily.relax``
+(``eval_lr_plus``) build their reports; ``exactrho``'s certificate routes
+walk ``rows`` slice by slice.  Every route gets its slicers from one
+``SliceFamily`` per call, which checks the arguments once, builds each
+weight's slicer once and holds the call's KKT factors, shared by every
+slice QP of every weight and dropped with the call.  An empty slice takes
+no solve, and QP slices start at the table's point.
 
 On a pure-integer instance a point's value f2 + lam.r2 + rho psi(r2)
 depends on the point only through f2 and its residual r2, so points of
@@ -245,11 +248,65 @@ def _x1_block(inst: MiqpInstance, pen: pen_mod.Penalty | None, s: int,
             RatMat.vstack(ineq, cols=width), RatMat.vstack(eq, cols=width), eq_tail)
 
 
+class SliceFamily:
+    """The slicers of one call chain at (inst, lam, pen), one per weight.
+
+    A family is built once per API call (one relaxation, sweep, bisection,
+    max-norm dual construction, ``solve_ip`` or ``rho_sufficient``) and
+    dies with it.  It checks the arguments its weights share: a multiplier
+    or penalty of the wrong dimension raises DimMismatchError here, and
+    ``at`` raises ValueError for rho < 0.  ``at(rho)`` is that weight's
+    ``SliceSolver``, built once.  The family owns the call's KKT factor
+    mapping, which every slice QP of every weight passes to ``solve_qp``:
+    for a norm penalty rho only prices w, so the slice KKT matrices repeat
+    across slices and weights, and each is eliminated once per call.  The
+    mapping is keyed by the exact matrix, so sharing it changes no result;
+    it is never kept across calls, so a repeated call repeats its work.
+    ``objective`` and ``include_eq`` are ``SliceSolver``'s s and equality
+    rows.
+    """
+
+    def __init__(self, inst: MiqpInstance, lam: RatVec, pen: pen_mod.Penalty | None,
+                 objective: bool = True, include_eq: bool = False):
+        if len(lam) != inst.m:
+            raise DimMismatchError(f"multiplier dim {len(lam)} vs {inst.m} rows")
+        if pen is not None and pen.dim != inst.m:
+            raise DimMismatchError(f"penalty dim {pen.dim} vs {inst.m} rows")
+        self.inst, self.lam, self.pen = inst, lam, pen
+        self.s, self.include_eq = (1 if objective else 0), include_eq
+        self.factors: dict = {}
+        self._slicers: dict[Fraction, SliceSolver] = {}
+
+    def at(self, rho) -> "SliceSolver":
+        """The family's slicer at weight rho (nonnegative), memoized."""
+        rho = rat(rho)
+        slicer = self._slicers.get(rho)
+        if slicer is None:
+            if rho < 0:
+                raise ValueError("rho must be nonnegative")
+            slicer = self._slicers[rho] = SliceSolver(self, rho)
+        return slicer
+
+    def relax(self, rho) -> "RelaxReport":
+        """The penalized relaxation's report at rho (see ``eval_lr_plus``)."""
+        slicer = self.at(rho)
+        best = slicer.argmin()
+        if best is None:
+            raise InfeasibleDomainError("the mixed integer linear set is empty")
+        row, rep, value = best
+        if value is None:
+            return RelaxReport(None, None, None, row.x2, unbounded=True)
+        x = slicer.lift(row.x2, rep)
+        inst = self.inst
+        residual = inst.b - inst.A.matvec(x) if inst.m else RatVec([])
+        return RelaxReport(value, x, pen_mod.evaluate(self.pen, residual), row.x2)
+
+
 class SliceSolver:
     """The slices of  min s f(x) + lam.(b - Ax) + rho psi(b - Ax)  over
-    E x <= f, x2 fixed: s = 1, or 0 with ``objective=False``; ``pen`` None
-    (solve_ip) has no penalty.  A multiplier or penalty of the wrong
-    dimension raises DimMismatchError, and rho < 0 ValueError.
+    E x <= f, x2 fixed, at one weight of a ``SliceFamily`` (built by its
+    ``at``, which checks the arguments): s = 1, or 0 with the family's
+    ``objective=False``; ``pen`` None (solve_ip) has no penalty.
 
     A slice's program over (x1, aux) is built from its SliceRow and the
     continuous block, which one instance builds once (``_x1_block``).
@@ -259,7 +316,8 @@ class SliceSolver:
     for a norm penalty ``epigraph_rows(pen, A1, .)`` with
     ``epigraph_rhs(pen, r2)``, on auxiliary columns whose last, w, costs
     rho; ``include_eq`` (solve_ip) adds [A1 | 0] = r2.  rho = 0, or no
-    dualized rows, drops the penalty.  A point slice (n1 = 0) is
+    dualized rows, drops the penalty.  A QP slice is solved with the
+    family's KKT factor mapping.  A point slice (n1 = 0) is
     s f2 + lam.r2 + rho psi(r2), in closed form.  The walk is ``rows``,
     ``minimum`` of each and ``argmin`` over ``candidates``: ``rows``, or
     with s = 1 on a pure-integer instance one row per residual class.
@@ -270,23 +328,17 @@ class SliceSolver:
     at which the class's value reaches a threshold, is its candidate's.
     """
 
-    def __init__(self, inst: MiqpInstance, lam: RatVec, pen: pen_mod.Penalty | None,
-                 rho, objective: bool = True, include_eq: bool = False):
-        if len(lam) != inst.m:
-            raise DimMismatchError(f"multiplier dim {len(lam)} vs {inst.m} rows")
-        rho = rat(rho)
-        if rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if pen is not None and pen.dim != inst.m:
-            raise DimMismatchError(f"penalty dim {pen.dim} vs {inst.m} rows")
+    def __init__(self, family: SliceFamily, rho: Fraction):
+        inst, pen = family.inst, family.pen
         if rho == 0 or inst.m == 0:
             pen = None  # psi of an empty residual is 0
-        self.inst, self.lam, self.pen, self.rho = inst, lam, pen, rho
-        self.s, self.include_eq = (1 if objective else 0), include_eq
+        self.inst, self.lam, self.pen, self.rho = inst, family.lam, pen, rho
+        self.s, self.include_eq = family.s, family.include_eq
+        self.factors = family.factors
         self.epigraph = pen is not None and pen.is_norm
         self.q = rho if pen is not None and not self.epigraph else _ZERO
         self.A1, self.Qsub, self.ineq_mat, self.eq_mat, self.eq_tail = _x1_block(
-            inst, pen if self.epigraph else None, self.s, self.q, include_eq)
+            inst, pen if self.epigraph else None, self.s, self.q, self.include_eq)
         self.quad_free = self.Qsub.is_zero()
         n_aux = self.Qsub.cols - inst.n1
         self.aux_cost = [_ZERO] * (n_aux - 1) + [rho] if n_aux else []
@@ -322,7 +374,7 @@ class SliceSolver:
             if start is not None and self.epigraph:
                 resid = row.r2 - self.A1.matvec(start)
                 start = RatVec([*start, *pen_mod.epigraph_start(self.pen, resid)])
-            rep = solve_qp(program, start)
+            rep = solve_qp(program, start, factors=self.factors)
         if rep.status == INFEASIBLE and row.x1 is not None:
             raise InternalInvariantError(f"table slice {row.x2} reported infeasible")
         return rep, (rep.value + self.constant(row) if rep.status == OPTIMAL else None)
@@ -393,7 +445,7 @@ def solve_ip(inst: MiqpInstance) -> SolveReport:
     Ties between integer assignments are broken toward the
     lexicographically smallest one.
     """
-    slicer = SliceSolver(inst, RatVec.zeros(inst.m), None, _ZERO, include_eq=True)
+    slicer = SliceFamily(inst, RatVec.zeros(inst.m), None, include_eq=True).at(_ZERO)
     best = slicer.argmin()
     if best is None:
         return SolveReport(status=INFEASIBLE)
@@ -440,16 +492,7 @@ def eval_lr_plus(inst: MiqpInstance, lam: RatVec, rho,
     directly when n1 = 0).  With rho = 0 this is the classical Lagrangian
     relaxation.
     """
-    slicer = SliceSolver(inst, lam, pen, rho)
-    best = slicer.argmin()
-    if best is None:
-        raise InfeasibleDomainError("the mixed integer linear set is empty")
-    row, rep, value = best
-    if value is None:
-        return RelaxReport(None, None, None, row.x2, unbounded=True)
-    x = slicer.lift(row.x2, rep)
-    residual = inst.b - inst.A.matvec(x) if inst.m else RatVec([])
-    return RelaxReport(value, x, pen_mod.evaluate(pen, residual), row.x2)
+    return SliceFamily(inst, lam, pen).relax(rho)
 
 
 @dataclass(frozen=True)
@@ -505,7 +548,8 @@ class SweepRow:
 def stream_gap_sweep(inst: MiqpInstance, pen: pen_mod.Penalty, rhos,
                      lam: RatVec | None = None, ascent_iters: int = 0):
     """SweepRows in schedule order, enforcing exact monotonicity.  The checks,
-    the ground truth and lambda_bar run at the call; the rows come lazily."""
+    the ground truth and lambda_bar run at the call; the rows come lazily,
+    every weight from the call's one SliceFamily."""
     rhos = [rat(r) for r in rhos]
     if not rhos:
         raise ValueError("empty rho schedule")
@@ -517,14 +561,14 @@ def stream_gap_sweep(inst: MiqpInstance, pen: pen_mod.Penalty, rhos,
     duals = lambda_bar(inst)
     if lam is None:
         lam = duals.lambda_bar
-    SliceSolver(inst, lam, pen, rhos[0])  # raises on a bad lam or pen dimension
+    family = SliceFamily(inst, lam, pen)
     z_ip, z_nlp = ip.value, duals.z_nlp
 
     def rows():
         prev: Fraction | None = None
         have_prev = False
         for rho in rhos:
-            rep = eval_lr_plus(inst, lam, rho, pen)
+            rep = family.relax(rho)
             z_lr = None if rep.unbounded else rep.value
             gap = None if z_lr is None else z_ip - z_lr
             if gap is not None and gap < 0:

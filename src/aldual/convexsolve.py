@@ -21,7 +21,10 @@ ray and the duals, are those of the same simplex on a Fraction tableau.
 The QP solver is a primal active-set method whose working set stays
 linearly independent, also with least-index (Bland) selection, so
 multipliers are unique and anti-cycling is principled rather than
-perturbation-based.  A QP given a start point begins with the independent
+perturbation-based.  Each step solves its KKT system with the matrix's
+``numkit.factor``, taken from a mapping keyed by the exact matrix that a
+caller may share among the programs of one call, and an inconsistent
+system's ray is a kernel vector of that same factor.  A QP given a start point begins with the independent
 rows active there in its working set (Nocedal and Wright, Numerical
 Optimization, 16.5; the rows are the pivot columns of ``numkit.echelon``),
 and carries its inequality slacks from step to step instead of recomputing
@@ -46,13 +49,12 @@ from .numkit import (
     ceil_rat,
     common_denominator,
     echelon,
+    factor,
     int_rows,
     kkt_matrix,
     ldl_psd_check,
-    nullspace_basis,
     pivot,
     quad_form,
-    solve_linear,
     to_wire,
 )
 
@@ -352,7 +354,8 @@ def _verify_ray(cobj, eq_lhs, ineq_lhs, ray: RatVec, Qobj=None) -> None:
         raise InternalInvariantError("ray does not decrease the objective")
 
 
-def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None) -> SolveReport:
+def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None,
+             factors: dict | None = None) -> SolveReport:
     """Primal active-set method in exact arithmetic.
 
     The method starts at ``x0`` when it is given and at the point of a
@@ -366,21 +369,28 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None) -> SolveReport:
     :func:`_active_rows`); from the phase-1 point it starts empty, so the
     multipliers of a cold solve do not depend on which vertex the LP found.
 
-    Each iteration makes one solve_linear call on the working set's KKT
-    system
+    Each iteration solves the working set's KKT system
 
         [[Q, C^T], [C, 0]] (d, w) = (-g, 0),   g = Q x + c,
 
-    where C stacks the equality rows and the working rows.  Working rows
-    stay linearly independent of the other rows of C; a dependent equality
-    row is a free column of the system, so its multiplier is 0 and the
-    others are unique.  A nonzero d is a step; at d = 0 the multipliers are
-    -w on the equality rows and w on the working rows.  An inconsistent
-    system has a kernel vector (u, v) with g.u != 0, Q u = 0 and C u = 0:
-    u, oriented downhill, is a curvature-free descent direction, returned
-    as the certifying ray when no inequality row blocks it.
+    where C stacks the equality rows and the working rows, with one
+    ``solve`` of the matrix's ``numkit.factor``.  The factor comes from
+    ``factors``, a mapping keyed by the exact matrix K (never by the
+    working set, so a key cannot name another matrix's factor), and is
+    added to it on a miss; a caller that solves many programs sharing Q
+    and the constraint rows passes one mapping to all of them, and without
+    one each call starts an empty dict.  Working rows stay linearly
+    independent of the other rows of C; a dependent equality row is a free
+    column of the system, so its multiplier is 0 and the others are
+    unique.  A nonzero d is a step; at d = 0 the multipliers are -w on the
+    equality rows and w on the working rows.  An inconsistent system has a
+    kernel vector (u, v) of the same factor with g.u != 0, Q u = 0 and
+    C u = 0: u, oriented downhill, is a curvature-free descent direction,
+    returned as the certifying ray when no inequality row blocks it.
     """
     n = len(qp.cobj)
+    if factors is None:
+        factors = {}
     psd = ldl_psd_check(qp.Qobj)
     if not psd.is_psd:
         raise NotPsdError("objective matrix is not PSD", witness=psd.witness)
@@ -413,10 +423,12 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None) -> SolveReport:
         C = RatMat.vstack([qp.eq_lhs, qp.ineq_lhs.submatrix(working, range(n))],
                           cols=n)
         K = kkt_matrix(qp.Qobj, C)
-        sol = solve_linear(K, RatVec(list(-g) + [_ZERO] * C.rows))
+        fac = factors.get(K)
+        if fac is None:
+            fac = factors[K] = factor(K)
+        sol = fac.solve(RatVec(list(-g) + [_ZERO] * C.rows))
         if sol.status == INCONSISTENT:
-            d = next((z[:n] for z in nullspace_basis(K) if g.dot(z[:n]) != 0),
-                     None)
+            d = next((z[:n] for z in fac.kernel if g.dot(z[:n]) != 0), None)
             if d is None:
                 raise InternalInvariantError(
                     "inconsistent KKT system without a kernel witness")

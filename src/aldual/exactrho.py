@@ -17,16 +17,22 @@ returned point is therefore the maximum over the slices of each slice's
 own smallest passing grid point, which the oracle finds by one walk of
 the slice table: one solve per slice that already passes at the running
 index, and a bisection of that one slice only where it raises the index.
+
+Each route gets its slicers from one ``ald.SliceFamily`` per call: the
+margin formula's at weight 1, and the max-norm construction's and the
+oracle's at every weight they try, so the slice QPs of all those weights
+share one mapping of KKT factors.  Verification shares nothing with the
+construction it checks: ``certify`` evaluates through ``eval_lr_plus``,
+which builds a family of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 
 from . import penalty as pen_mod
-from .ald import SliceSolver, eval_lr_plus, ground_truth, lambda_bar
+from .ald import SliceFamily, eval_lr_plus, ground_truth, lambda_bar
 from .convexsolve import OPTIMAL
 from .errors import (
     BisectionCapError,
@@ -161,7 +167,7 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty) -> RhoCertificate:
     continuous_acts = not A1.is_zero()
 
     # per-assignment exact minimum of psi(b - Ax) over the continuous slice
-    slicer = SliceSolver(inst, RatVec.zeros(inst.m), pen, _ONE, objective=False)
+    slicer = SliceFamily(inst, RatVec.zeros(inst.m), pen, objective=False).at(_ONE)
     candidates: list[Fraction] = []
     for row in slicer.rows():
         vmin = slicer.minimum(row)[1]
@@ -243,18 +249,18 @@ def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
     if inst.m == 0:
         return _issue(inst, lam, _ONE, pen_linf, DUAL_LINF, DualLinfEvidence(()))
 
-    slicer = cache(partial(SliceSolver, inst, lam, pen_linf))
+    family = SliceFamily(inst, lam, pen_linf)
     A1, A2 = inst.split_cols(inst.A)
     c1, c2 = inst.c_split()
     blocks = (*inst.q_blocks(), A1, A2, *inst.split_cols(inst.E),
               c1 - A1.tmatvec(lam), c2 - A2.tmatvec(lam), lam.dot(inst.b))
 
     def probe(row, rho):
-        return _dual_probe(inst, blocks, slicer(rho), row, rho)
+        return _dual_probe(inst, blocks, family.at(rho), row, rho)
 
     records: list[DualAssignmentRecord] = []
     current = _ONE
-    for row in slicer(current).rows():
+    for row in family.at(current).rows():
         rec = probe(row, current)
         if rec.dual_value >= z_ip:
             records.append(rec)
@@ -359,8 +365,7 @@ def rho_bisect_empirical(inst: MiqpInstance, lam: RatVec,
     """
     if not pen.is_norm:
         raise UnsupportedKindError("empirical bisection needs a norm kind")
-    slicer = cache(partial(SliceSolver, inst, lam, pen))
-    first = slicer(_ZERO)  # checks the multiplier and penalty dimensions
+    family = SliceFamily(inst, lam, pen)
     rho_max = rat(rho_max)
     if rho_max < 0:
         raise ValueError("rho_max must be nonnegative")
@@ -371,11 +376,11 @@ def rho_bisect_empirical(inst: MiqpInstance, lam: RatVec,
     top = 2 ** halvings
 
     def passes(row, k: int) -> bool:
-        value = slicer(rho_max * k / top).minimum(row)[1]
+        value = family.at(rho_max * k / top).minimum(row)[1]
         return value is not None and value >= z_ip
 
     k = 0
-    for row in first.candidates():
+    for row in family.at(_ZERO).candidates():
         if passes(row, k):
             continue
         if not passes(row, top):

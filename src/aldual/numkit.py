@@ -9,8 +9,13 @@ Exact elimination has one kernel here: :func:`pivot`, a fraction-free
 Gauss-Jordan step on a tableau of Python ints (Edmonds; Bareiss; Gaertner
 1999, "Exact arithmetic at low cost") whose every division is checked
 exact.  Rows of Fractions reach it through :func:`int_rows`, and
-:func:`echelon` pivots columns in order.  ``solve_linear``, the PSD test
-and ``convexsolve``'s simplex and working-set seed all pivot through it.
+:func:`echelon` pivots columns in order.  The PSD test and
+``convexsolve``'s simplex and working-set seed pivot through it, and every
+linear solve goes through :func:`factor`, which reduces ``[M | I]`` once
+and then reads the solution for any right-hand side, and the kernel, off
+that one reduction (the reduced row echelon form is unique, so the numbers
+are those of any exact elimination).  ``solve_linear`` and
+``nullspace_basis`` are one line over it.
 
 Integer points have one kernel too: :func:`affine_at_ints` evaluates
 ``base - M x`` at an integer x with each row of ``[M | base]`` scaled once
@@ -630,42 +635,79 @@ class LinearSolveReport:
     nullspace: tuple[RatVec, ...]
 
 
-def solve_linear(M: RatMat, v: RatVec) -> LinearSolveReport:
-    """Solve M x = v by fraction-free Gauss-Jordan elimination.
+class Factor:
+    """One reduction of a matrix M, read for any right-hand side.
 
-    Each row of [M | v] is scaled to integers (:func:`int_rows`) and
-    reduced by :func:`echelon` on the columns of M, on Python ints with
-    every division checked exact.  A column without a pivot is free.  The
-    solution (free variables at zero) and one kernel vector per free
-    column are read off the reduced tableau over its ``det``.
+    The tableau ``[int_rows(M) | I]`` is reduced once by :func:`echelon` on
+    the columns of M.  Each row i of ``int_rows(M)`` is row i of M times
+    its common denominator ``d_i``, so afterwards the tableau is
+    ``[S D M | S]`` for D = diag(d) and the row operations S, and
+    ``S D M / det`` is the reduced row echelon form of M, which is unique:
+    every number read off it is the one any exact elimination of M gives.
+    ``kernel`` holds one basis vector of ker(M) per free column, read once
+    here.
     """
-    if M.rows != len(v):
-        raise DimMismatchError(f"solve_linear: {M.rows} rows vs rhs dim {len(v)}")
-    nc = M.cols
-    T = int_rows(row + [vi] for row, vi in zip(M.row_list(), v))
-    det, pivot_cols = echelon(T, nc)
-    rank = len(pivot_cols)
-    if any(row[nc] for row in T[rank:]):
-        return LinearSolveReport(INCONSISTENT, None, rank, ())
 
-    def read(col: int, sign: int) -> list[Fraction]:
-        x = [_ZERO] * nc
-        for row, c in zip(T, pivot_cols):
-            if row[col]:
-                x[c] = Fraction(sign * row[col], det)
-        return x
+    __slots__ = ("rows", "cols", "rank", "kernel", "_den", "_det", "_pivots",
+                 "_transform")
 
-    free_cols = [j for j in range(nc) if j not in pivot_cols]
-    particular = RatVec._trusted(tuple(read(nc, 1)))
-    basis = []
-    for fc in free_cols:
-        z = read(fc, -1)
-        z[fc] = _ONE
-        basis.append(RatVec._trusted(tuple(z)))
-    status = UNIQUE if not free_cols else UNDERDETERMINED
-    return LinearSolveReport(status, particular, rank, tuple(basis))
+    def __init__(self, M: RatMat):
+        nr, nc = M.rows, M.cols
+        T = int_rows(M._rows)
+        self._den = tuple(common_denominator(row) for row in M._rows)
+        for i, row in enumerate(T):
+            row.extend(1 if j == i else 0 for j in range(nr))
+        det, pivot_cols = echelon(T, nc)
+        self.rows, self.cols, self.rank = nr, nc, len(pivot_cols)
+        self._det, self._pivots = det, tuple(pivot_cols)
+        self._transform = [row[nc:] for row in T]
+        pivoted = set(pivot_cols)
+        basis = []
+        for fc in range(nc):
+            if fc in pivoted:
+                continue
+            z = [_ZERO] * nc
+            for row, c in zip(T, pivot_cols):
+                if row[fc]:
+                    z[c] = Fraction(-row[fc], det)
+            z[fc] = _ONE
+            basis.append(RatVec._trusted(tuple(z)))
+        self.kernel = tuple(basis)
+
+    def solve(self, v: RatVec) -> LinearSolveReport:
+        """M x = v: the solution with the free variables at zero and the
+        kernel, or INCONSISTENT.  With L the common denominator of v,
+        ``L D v`` is a vector of ints, so the tableau's right-hand side
+        ``S L D v`` is one int matvec and each entry of x one Fraction over
+        ``det * L``."""
+        if self.rows != len(v):
+            raise DimMismatchError(f"linear solve: {self.rows} rows vs rhs dim {len(v)}")
+        L = common_denominator(v._e)
+        rhs = [(j, d * a.numerator * (L // a.denominator))
+               for j, (d, a) in enumerate(zip(self._den, v._e)) if a]
+        out = [sum(row[j] * a for j, a in rhs) for row in self._transform]
+        rank = self.rank
+        if any(out[rank:]):
+            return LinearSolveReport(INCONSISTENT, None, rank, ())
+        x = [_ZERO] * self.cols
+        scale = self._det * L
+        for c, a in zip(self._pivots, out):
+            if a:
+                x[c] = Fraction(a, scale)
+        status = UNIQUE if rank == self.cols else UNDERDETERMINED
+        return LinearSolveReport(status, RatVec._trusted(tuple(x)), rank, self.kernel)
+
+
+def factor(M: RatMat) -> Factor:
+    """The one exact elimination of M (see :class:`Factor`)."""
+    return Factor(M)
+
+
+def solve_linear(M: RatMat, v: RatVec) -> LinearSolveReport:
+    """Solve M x = v exactly: ``factor(M).solve(v)``."""
+    return factor(M).solve(v)
 
 
 def nullspace_basis(M: RatMat) -> tuple[RatVec, ...]:
     """Basis of ker(M), one vector per free column of the elimination."""
-    return solve_linear(M, RatVec.zeros(M.rows)).nullspace
+    return factor(M).kernel

@@ -1,6 +1,6 @@
 import pytest
 
-from aldual import ald, convexsolve
+from aldual import ald, convexsolve, numkit
 from aldual.instance import MiqpInstance
 from aldual.numkit import RatMat, RatVec
 
@@ -43,4 +43,26 @@ def solver_calls(monkeypatch):
     monkeypatch.setattr(convexsolve, "solve_lp",
                         counting("lp", convexsolve.solve_lp))
     monkeypatch.setattr(ald, "solve_qp", counting("qp", ald.solve_qp))
+    return calls
+
+
+@pytest.fixture
+def kkt_calls(monkeypatch):
+    """Records solve_qp's exact eliminations: under ``factors`` the matrix
+    of each ``numkit.factor`` call made through convexsolve, under
+    ``solves`` the (factor, report) of each ``Factor.solve``."""
+    calls = {"factors": [], "solves": []}
+    factor, solve = convexsolve.factor, numkit.Factor.solve
+
+    def factored(K):
+        calls["factors"].append(K)
+        return factor(K)
+
+    def solved(fac, v):
+        rep = solve(fac, v)
+        calls["solves"].append((fac, rep))
+        return rep
+
+    monkeypatch.setattr(convexsolve, "factor", factored)
+    monkeypatch.setattr(numkit.Factor, "solve", solved)
     return calls

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from aldual import ald, convexsolve
+from aldual import ald
 from aldual.ald import (
     SWEEP_CSV_HEADER,
     dual_ascent,
@@ -32,7 +32,7 @@ from aldual.errors import (
 )
 from aldual.exactrho import rho_dual_linf, rho_sufficient
 from aldual.instance import GenConfig, MiqpInstance, generate
-from aldual.numkit import RatMat, RatVec, parse_rat
+from aldual.numkit import INCONSISTENT, RatMat, RatVec, parse_rat
 from aldual.penalty import L1, LINF, Penalty, SQL2, evaluate, parse_penalty
 
 from conftest import d1_instance
@@ -433,8 +433,7 @@ def _relax_slicers(inst, lam):
     cases = [(parse_penalty("linf", inst.m), 0)] + [
         (parse_penalty(spec, inst.m), rho)
         for spec in _POINT_SPECS for rho in (1, 4)]
-    return [ald.SliceSolver(inst, lam, pen, Fraction(rho))
-            for pen, rho in cases]
+    return [ald.SliceFamily(inst, lam, pen).at(rho) for pen, rho in cases]
 
 
 def _point_cases():
@@ -447,8 +446,8 @@ def _point_cases():
 def test_point_slices_equal_lp_route(idx):
     inst = _point_cases()[idx]
     assert inst.n1 == 0
-    slicers = [ald.SliceSolver(inst, RatVec.zeros(inst.m), None, Fraction(0),
-                               include_eq=True)]
+    slicers = [ald.SliceFamily(inst, RatVec.zeros(inst.m), None,
+                               include_eq=True).at(0)]
     for lam in (lambda_bar(inst).lambda_bar, RatVec.zeros(inst.m)):
         slicers += _relax_slicers(inst, lam)
     for slicer in slicers:
@@ -485,30 +484,56 @@ def test_mixed_slices_take_one_solve_each(solver_calls):
             table_lps = 0
 
 
-def test_warm_slice_walk_kernel_calls(monkeypatch):
+def grid_25():
+    """The 25-slice grid instance with Q11 != 0 (n1 = 1, n2 = 2, m = 2)."""
+    return grid_corpus()[GRID_SHAPES.index((1, 2, 2, 0, 2, 700))]
+
+
+def factor_counts(kkt_calls, call):
+    """(factorizations, KKT solves) of ``call()``, after checking that it
+    factored no KKT matrix twice."""
+    for made in kkt_calls.values():
+        made.clear()
+    call()
+    factors = kkt_calls["factors"]
+    assert len(set(factors)) == len(factors)
+    return len(factors), len(kkt_calls["solves"])
+
+
+def test_one_factor_per_kkt_matrix_per_sweep(kkt_calls):
+    # an l1 sweep over four weights: rho only prices w, so the slice QPs of
+    # every weight share their KKT matrices, and the sweep's one family
+    # eliminates each matrix once.  A second identical sweep starts from an
+    # empty mapping and factors as much as the first: nothing is carried
+    # across calls.  The per-instance facts are computed first.
+    inst = grid_25()
+    for fact in (ald._slices, solve_ip, lambda_bar):
+        fact(inst)
+
+    def sweep():
+        return gap_sweep(inst, Penalty(L1, inst.m), [1, 2, 4, 8])
+
+    first = factor_counts(kkt_calls, sweep)
+    assert first == (5, 204)
+    assert factor_counts(kkt_calls, sweep) == first
+
+
+def test_warm_slice_walk_kernel_calls(kkt_calls):
     # eval_lr_plus at lambda_bar, rho 1, l1 then linf, on a 25-slice grid
     # instance with Q11 != 0: 50 warm slice QPs.  Each starts with the
     # independent rows active at its start point in its working set, so no
-    # step meets a zero-curvature ray.  With an empty starting working set
-    # the same walk made 179 solve_linear and 75 nullspace_basis calls.
-    inst = grid_corpus()[GRID_SHAPES.index((1, 2, 2, 0, 2, 700))]
+    # step meets a zero-curvature ray (an inconsistent KKT system).  With
+    # an empty starting working set the same walk made 179 KKT solves, 75
+    # of them inconsistent.
+    inst = grid_25()
     assert len(ald._slices(inst)) == 25
     lam = lambda_bar(inst).lambda_bar
-    calls = {"solve_linear": 0, "nullspace_basis": 0}
-
-    def counted(name):
-        fn = getattr(convexsolve, name)
-
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
-
-    for name in calls:
-        monkeypatch.setattr(convexsolve, name, counted(name))
+    solves = kkt_calls["solves"]
+    solves.clear()
     for spec in ("l1", "linf"):
         eval_lr_plus(inst, lam, 1, parse_penalty(spec, inst.m))
-    assert calls == {"solve_linear": 104, "nullspace_basis": 0}
+    assert len(solves) == 104
+    assert [rep for _, rep in solves if rep.status == INCONSISTENT] == []
 
 
 def _coupled_instance():
@@ -563,7 +588,7 @@ def test_empty_slices_take_no_solve(solver_calls):
             solver_calls.update(lp=0, qp=0)
             got = eval_lr_plus(inst, lam, rho, pen)
             assert solver_calls == {"lp": 0, "qp": len(table)}
-            slicer = ald.SliceSolver(inst, lam, pen, Fraction(rho))
+            slicer = ald.SliceFamily(inst, lam, pen).at(rho)
             assert _cold_route(slicer, pen) == (
                 (got.value, got.argmin_x, got.violation), empty)
 
@@ -582,7 +607,7 @@ def test_lp_slices_skip_empty_slices(solver_calls):
             got = eval_lr_plus(inst, lam, rho, pen)
             assert solver_calls == {"lp": table_lps + 6, "qp": 0}
             table_lps = 0
-            slicer = ald.SliceSolver(inst, lam, pen, Fraction(rho))
+            slicer = ald.SliceFamily(inst, lam, pen).at(rho)
             assert slicer.quad_free
             assert _cold_route(slicer, pen) == (
                 (got.value, got.argmin_x, got.violation), [(1, 2), (2, 1), (2, 2)])
@@ -600,7 +625,7 @@ def test_infeasible_table_slice_is_an_internal_error(monkeypatch):
     assert (got.value, got.assignment) == (-1, (0, 0))
     row = ald._slices(inst)[0]
     assert row.x2 == (0, 0)
-    target = ald.SliceSolver(inst, lam, pen, Fraction(0)).program(row)
+    target = ald.SliceFamily(inst, lam, pen).at(0).program(row)
     solve = ald.solve_lp
 
     def failing(lp):
@@ -724,7 +749,7 @@ def test_solve_ip_takes_the_first_tied_slice(q11, c):
     # x1 = y on the raw box: y = -1 and y = 2 leave 0 <= x1 <= 1 (skipped),
     # and y = 0, y = 1 tie at 0
     inst = _tied_instance(q11, c, [1, -1])
-    slicer = ald.SliceSolver(inst, RatVec([0]), None, 0, include_eq=True)
+    slicer = ald.SliceFamily(inst, RatVec([0]), None, include_eq=True).at(0)
     assert slicer.quad_free == (q11 == 0)
     assert [inst.objective_value(RatVec([y, y])) for y in (0, 1)] == [0, 0]
     rep = solve_ip(inst)
@@ -742,7 +767,7 @@ def test_eval_takes_the_first_tied_slice(q11, c, x1, spec):
     # part is the same minimum on every slice; y = 1 has violation 1
     inst = _tied_instance(q11, c, [0, 1])
     pen = parse_penalty(spec, 1)
-    assert ald.SliceSolver(inst, RatVec([0]), pen, 1).quad_free == (q11 == 0)
+    assert ald.SliceFamily(inst, RatVec([0]), pen).at(1).quad_free == (q11 == 0)
     got = eval_lr_plus(inst, RatVec([0]), 1, pen)
     assert got.assignment == (0,)
     assert got.argmin_x == RatVec([x1, 0])

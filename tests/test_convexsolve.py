@@ -210,26 +210,19 @@ def _degenerate_qp():
     # being the equality row minus row 0
     [0, 1, 0],
 ])
-def test_qp_degenerate_start(monkeypatch, start):
+def test_qp_degenerate_start(kkt_calls, start):
     qp = _degenerate_qp()
     cold = solve_qp(qp)
     assert cold.status == OPTIMAL
     assert cold.x == RatVec([0, Fraction(1, 4), Fraction(3, 4)])
-    systems = []
-
-    def recorded(K, v):
-        rep = solve_linear(K, v)
-        systems.append((K, rep))
-        return rep
-
-    monkeypatch.setattr(convexsolve, "solve_linear", recorded)
-    monkeypatch.setattr(convexsolve, "nullspace_basis",
-                        lambda K: pytest.fail("zero-curvature ray step"))
+    systems = kkt_calls["solves"]
+    systems.clear()
     warm = solve_qp(qp, RatVec(start))
     assert (warm.status, warm.value, warm.x) == (cold.status, cold.value, cold.x)
     n, m_eq = 3, 2
     assert systems[0][0].cols == n + m_eq + 2  # two rows seeded
-    for K, rep in systems:
+    for fac, rep in systems:
+        # no zero-curvature ray step
         assert rep.status != INCONSISTENT
         # the second equality row is the only dependent row of C: every
         # kernel vector of a KKT system is zero on the working rows
@@ -249,21 +242,19 @@ def test_qp_unbounded_flat_direction():
     assert rep.ray is not None and rep.ray[0] > 0
 
 
-def test_qp_kernel_basis_only_on_ray_steps(monkeypatch):
-    # each active-set step is one KKT solve; a kernel basis is computed
-    # only when that system is inconsistent, for a zero-curvature ray
-    calls = []
-    basis = convexsolve.nullspace_basis
+def test_qp_kernel_basis_only_on_ray_steps(kkt_calls):
+    # each active-set step is one KKT solve; a kernel vector is taken only
+    # when that system is inconsistent, for a zero-curvature ray, and it
+    # is the kernel of the same factor
+    def ray_steps():
+        return [fac for fac, rep in kkt_calls["solves"] if rep.status == INCONSISTENT]
 
-    def counted(M):
-        calls.append(M)
-        return basis(M)
-
-    monkeypatch.setattr(convexsolve, "nullspace_basis", counted)
     assert solve_qp(relaxation_program(d1_instance())).status == OPTIMAL
-    assert calls == []
-    assert solve_qp(_flat_ray_qp()).status == UNBOUNDED
-    assert len(calls) == 1
+    assert ray_steps() == []
+    rep = solve_qp(_flat_ray_qp())
+    assert rep.status == UNBOUNDED
+    [fac] = ray_steps()
+    assert rep.ray == fac.kernel[0][:1]
 
 
 def test_qp_positive_definite_matches_newton_solve():

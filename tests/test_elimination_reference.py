@@ -11,7 +11,10 @@ The Gauss-Jordan ``numkit.pivot`` scales rows by positive factors only
 the PSD test reads and every number read off the tableau are the same:
 each function must return the identical result on every input, each
 number a Fraction (``to_wire`` would render a stray int as a JSON
-integer, not as the string of a rational).
+integer, not as the string of a rational).  ``numkit.factor`` reduces
+``[M | I]`` once and reads every right-hand side off that one reduction:
+each of its solves must equal the reference's report for that
+right-hand side, and its kernel the reference's nullspace.
 """
 
 from collections import namedtuple
@@ -35,6 +38,7 @@ from aldual.numkit import (
     RatMat,
     RatVec,
     common_denominator,
+    factor,
     ldl_psd_check,
     pivot,
     quad_form,
@@ -255,6 +259,26 @@ def _systems(draw):
 
 
 @st.composite
+def _right_hand_sides(draw):
+    """A square, wide or tall M of 0-6 rows and columns, and one to four
+    right-hand sides for it, each drawn (inconsistent whenever it breaks a
+    row dependency) or M x0 at a drawn x0 (consistent)."""
+    shape = draw(st.sampled_from(("square", "wide", "tall")))
+    m = draw(st.integers(0 if shape != "tall" else 1, 6))
+    n = m if shape == "square" else draw(
+        st.integers(m + 1, 7) if shape == "wide" else st.integers(0, m - 1))
+    M = RatMat(draw(_rows(m, n)), cols=n)
+    vs = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            vs.append(RatVec(draw(st.lists(_entries, min_size=m, max_size=m))))
+        else:
+            vs.append(M.matvec(RatVec(draw(st.lists(_entries, min_size=n,
+                                                    max_size=n)))))
+    return M, vs
+
+
+@st.composite
 def _symmetric(draw):
     """0-6 square symmetric matrices: either B^T diag(d) B over dependent
     rows B, PSD when every d_k >= 0 and mostly not otherwise, or an upper
@@ -297,6 +321,22 @@ def test_solve_linear_equals_fraction_back_substitution(system):
     got, want = solve_linear(*system), reference_solve_linear(*system)
     assert got == want
     assert _all_fractions((got.x, *got.nullspace))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_right_hand_sides())
+def test_factor_equals_fraction_back_substitution(system):
+    # one factor of M serves every right-hand side; its kernel is the
+    # reference's nullspace, and each solve the reference's whole report
+    M, vs = system
+    fac = factor(M)
+    want_kernel = reference_solve_linear(M, RatVec.zeros(M.rows)).nullspace
+    assert fac.kernel == want_kernel
+    assert _all_fractions(fac.kernel)
+    for v in vs:
+        got, want = fac.solve(v), reference_solve_linear(M, v)
+        assert got == want
+        assert _all_fractions((got.x, *got.nullspace))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from aldual import ald
 from aldual.ald import (
-    SliceSolver,
+    SliceFamily,
     eval_lr_plus,
     ground_truth,
     lambda_bar,
@@ -35,7 +36,7 @@ from aldual.penalty import L1, LINF, Penalty, SCALED_LINF, SQL2
 
 from conftest import d1_instance
 from corpus import grid_corpus
-from test_ald import _coupled_instance, _coupled_lp_instance
+from test_ald import _coupled_instance, _coupled_lp_instance, factor_counts, grid_25
 
 WIDTH = Fraction(1, 1024)
 _ZERO = Fraction(0)
@@ -337,7 +338,7 @@ def _own_threshold(inst, lam, pen, z_ip, row, rho_max, top):
     found apart from the route: a bisection of that slice alone over
     [0, top], where it must pass."""
     def passes(k):
-        slicer = SliceSolver(inst, lam, pen, rho_max * k / top)
+        slicer = SliceFamily(inst, lam, pen).at(rho_max * k / top)
         value = slicer.minimum(row)[1]
         return value is not None and value >= z_ip
 
@@ -349,6 +350,25 @@ def _own_threshold(inst, lam, pen, z_ip, row, rho_max, top):
     return hi
 
 
+def test_one_factor_per_kkt_matrix_per_bisection(kkt_calls):
+    # the bisection at zero multipliers moves over many weights, and its
+    # one family eliminates each slice KKT matrix once; a second identical
+    # call factors as much as the first
+    inst = grid_25()
+    for fact in (ald._slices, solve_ip):
+        fact(inst)
+    pen = Penalty(L1, inst.m)
+    bounds = []
+
+    def bisect():
+        bounds.append(rho_bisect_empirical(inst, RatVec.zeros(inst.m), pen, 4))
+
+    first = factor_counts(kkt_calls, bisect)
+    assert first == (6, 147)
+    assert factor_counts(kkt_calls, bisect) == first
+    assert bounds == [EmpiricalBound(Fraction(2231, 1024), True)] * 2
+
+
 def test_empirical_solves_each_slice_once_plus_its_raises(solver_calls):
     # S slices, K halvings and r raises of the running index: one solve
     # per slice, and at most K + 1 more for each raise
@@ -356,7 +376,7 @@ def test_empirical_solves_each_slice_once_plus_its_raises(solver_calls):
     lam = lambda_bar(inst).lambda_bar
     pen = Penalty(LINF, inst.m)
     z_ip = solve_ip(inst).value
-    rows = SliceSolver(inst, lam, pen, _ZERO).rows()
+    rows = SliceFamily(inst, lam, pen).at(_ZERO).rows()
     rho_max, halvings = Fraction(1), 10  # 1 / 2**10 is the width
     solver_calls.update(lp=0, qp=0)
     bound = rho_bisect_empirical(inst, lam, pen, rho_max)

@@ -163,16 +163,18 @@ def _record(pins: dict, label: str, run, solvers=("solve_qp",),
             numbers=None, module=ald) -> None:
     """Run ``run()`` with ``module``'s ``solvers`` replaced by recorders:
     each program solved is pinned, in solve order, as ``label #i``, i taken
-    from ``numbers`` (0, 1, ... by default)."""
+    from ``numbers`` (0, 1, ... by default).  A program given a start is
+    pinned by its cold report and solved again from the start, with the
+    caller's factor mapping, which must reach the same point."""
     originals = {name: getattr(module, name) for name in solvers}
     numbers = itertools.count() if numbers is None else numbers
 
     def recorder(solve):
-        def record(program, x0=None):
+        def record(program, x0=None, factors=None):
             report = solve(program)
             pins[f"{label} #{next(numbers)}"] = _pin(program, report)
             if x0 is not None:
-                warm = solve(program, x0)
+                warm = solve(program, x0, factors)
                 assert (warm.status, warm.value, warm.x) == \
                     (report.status, report.value, report.x)
             return report

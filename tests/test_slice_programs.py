@@ -108,19 +108,19 @@ def _slicer_pairs(inst):
     and at a second multiplier."""
     n, m = inst.n, inst.m
     zero_lam = RatVec.zeros(m)
-    pairs = [(ald.SliceSolver(inst, zero_lam, None, _ZERO, include_eq=True),
+    pairs = [(ald.SliceFamily(inst, zero_lam, None, include_eq=True).at(_ZERO),
               _Substitution(inst, inst.Q, inst.c, _ZERO, include_eq=True))]
     other = RatVec(Fraction((-1) ** i, i + 2) for i in range(m))
     for spec in KINDS:
         pen = parse_penalty(spec, m)
         pairs.append((
-            ald.SliceSolver(inst, zero_lam, pen, Fraction(1), objective=False),
+            ald.SliceFamily(inst, zero_lam, pen, objective=False).at(1),
             _reference(inst, RatMat.zeros(n, n), RatVec.zeros(n), _ZERO, pen,
                        Fraction(1))))
         for lam in (lambda_bar(inst).lambda_bar, lambda_bar(inst).lambda_bar + other):
             chat, const = inst.c - inst.A.tmatvec(lam), lam.dot(inst.b)
             for rho in (_ZERO, Fraction(1, 2)):
-                pairs.append((ald.SliceSolver(inst, lam, pen, rho),
+                pairs.append((ald.SliceFamily(inst, lam, pen).at(rho),
                               _reference(inst, inst.Q, chat, const, pen, rho)))
     return pairs
 

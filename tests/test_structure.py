@@ -15,7 +15,11 @@ through ``row_list``, ``row`` and iteration, so the storage stays
 slice table, not its own loop over the raw integer box.  Only ``numkit``
 calls ``divmod``: checked exact division, and so the fraction-free
 elimination kernel (``numkit.pivot``) every exact solver pivots through,
-lives in one module.
+lives in one module.  Only ``ald`` names ``SliceSolver``: every other
+module gets its slicers from an ``ald.SliceFamily``, which checks the
+arguments once per call and shares one KKT factor mapping among the
+call's weights, so no module can build a slicer outside a family, not
+even through ``partial(SliceSolver, ...)``.
 """
 
 import ast
@@ -110,3 +114,23 @@ def test_only_numkit_calls_divmod(path):
              and "divmod" in (getattr(node.func, "id", None),
                               getattr(node.func, "attr", None))]
     assert calls == []
+
+
+def _slice_solver_names(tree):
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "SliceSolver")
+            or (isinstance(node, ast.Attribute) and node.attr == "SliceSolver")
+            or (isinstance(node, ast.alias) and node.name == "SliceSolver")]
+
+
+def test_slice_solver_rule_covers_calls_closures_and_imports():
+    tree = ast.parse("from .ald import SliceSolver\n"
+                     "ald.SliceSolver(inst, lam, pen, rho)\n"
+                     "slicer = cache(partial(SliceSolver, inst, lam, pen))\n")
+    assert len(_slice_solver_names(tree)) == 3
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "ald"],
+                         ids=lambda p: p.name)
+def test_only_ald_builds_slice_solvers(path):
+    assert _slice_solver_names(_tree(path)) == []
