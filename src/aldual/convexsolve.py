@@ -24,12 +24,12 @@ multipliers are unique and anti-cycling is principled rather than
 perturbation-based.  Each step solves its KKT system with the matrix's
 ``numkit.factor``, taken from a mapping keyed by the exact matrix that a
 caller may share among the programs of one call, and an inconsistent
-system's ray is a kernel vector of that same factor.  A QP given a start point begins with the independent
-rows active there in its working set (Nocedal and Wright, Numerical
-Optimization, 16.5; the rows are the pivot columns of ``numkit.echelon``),
-and carries its inequality slacks from step to step instead of recomputing
-them; the KKT check of the result still recomputes everything from the
-program.
+system's ray is a kernel vector of that same factor.  A QP given a start
+point begins with the independent rows active there in its working set
+(Nocedal and Wright, Numerical Optimization, 16.5; the rows are the pivot
+columns of ``numkit.echelon``), and carries its inequality slacks from
+step to step instead of recomputing them; the KKT check of the result
+still recomputes everything from the program.
 """
 
 from __future__ import annotations
