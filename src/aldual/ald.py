@@ -16,9 +16,10 @@ first of least minimum, from which ``solve_ip`` and ``SliceFamily.relax``
 (``eval_lr_plus``) build their reports; ``exactrho``'s certificate routes
 walk ``rows`` slice by slice.  Every route gets its slicers from one
 ``SliceFamily`` per call, which checks the arguments once, builds each
-weight's slicer once and holds the call's KKT factors, shared by every
-slice QP of every weight and dropped with the call.  An empty slice takes
-no solve, and QP slices start at the table's point.
+weight's slicer once and holds the call's KKT factors, one entry per
+constraint system, shared by every slice QP of every weight and dropped
+with the call.  An empty slice takes no solve, and QP slices start at
+the table's point.
 
 On a pure-integer instance a point's value f2 + lam.r2 + rho psi(r2)
 depends on the point only through f2 and its residual r2, so points of
@@ -222,15 +223,14 @@ def _point_classes(inst: MiqpInstance) -> tuple[SliceRow, ...]:
 
 @_per_instance
 def _x1_block(inst: MiqpInstance, pen: pen_mod.Penalty | None, s: int,
-              q: Fraction, include_eq: bool) -> tuple:
-    """A slicer's continuous block (A1, quadratic, inequality rows,
+              include_eq: bool) -> tuple:
+    """A slicer's continuous block (A1, quadratic s Q11, inequality rows,
     equality rows, the equalities' right-hand side), which depends on
-    neither lam nor the weight of w; ``pen`` is its norm penalty or None."""
+    neither lam nor the weight, so an instance keeps one per penalty
+    shape; ``pen`` is its norm penalty or None."""
     n1 = inst.n1
     A1, E1 = inst.A.col_block(0, n1), inst.E.col_block(0, n1)
     quad = inst.Q.submatrix(range(n1), range(n1)).scale(s)
-    if q:
-        quad = quad + A1.transpose().matmul(A1).scale(2 * q)
     n_aux, eq_tail = 0, ()
     if pen is not None:
         enc = pen_mod.epigraph_rows(pen, A1, RatVec.zeros(inst.m))
@@ -258,10 +258,12 @@ class SliceFamily:
     ``at`` raises ValueError for rho < 0.  ``at(rho)`` is that weight's
     ``SliceSolver``, built once.  The family owns the call's KKT factor
     mapping, which every slice QP of every weight passes to ``solve_qp``:
-    for a norm penalty rho only prices w, so the slice KKT matrices repeat
-    across slices and weights, and each is eliminated once per call.  The
-    mapping is keyed by the exact matrix, so sharing it changes no result;
-    it is never kept across calls, so a repeated call repeats its work.
+    for a norm penalty rho only prices w, so the slice programs of every
+    weight share one constraint system, which passes its PSD check once,
+    and each (system, working set) is factored once per call.  The
+    mapping is keyed by the exact matrices, so sharing it changes no
+    result; it is never kept across calls, so a repeated call repeats its
+    work.
     ``objective`` and ``include_eq`` are ``SliceSolver``'s s and equality
     rows.
     """
@@ -311,7 +313,8 @@ class SliceSolver:
     A slice's program over (x1, aux) is built from its SliceRow and the
     continuous block, which one instance builds once (``_x1_block``).
     With q = rho for sql2 (0 otherwise) the constant is s f2 + lam.r2
-    + q |r2|^2, the quadratic s Q11 + 2q A1^T A1 and the x1 linear term
+    + q |r2|^2, the quadratic s Q11 + 2q A1^T A1 (the block's s Q11, plus
+    the weight's term added here) and the x1 linear term
     s g1 - A1^T (lam + 2q r2).  The inequalities are [E1 | 0] <= s2, then
     for a norm penalty ``epigraph_rows(pen, A1, .)`` with
     ``epigraph_rhs(pen, r2)``, on auxiliary columns whose last, w, costs
@@ -338,7 +341,9 @@ class SliceSolver:
         self.epigraph = pen is not None and pen.is_norm
         self.q = rho if pen is not None and not self.epigraph else _ZERO
         self.A1, self.Qsub, self.ineq_mat, self.eq_mat, self.eq_tail = _x1_block(
-            inst, pen if self.epigraph else None, self.s, self.q, self.include_eq)
+            inst, pen if self.epigraph else None, self.s, self.include_eq)
+        if self.q:
+            self.Qsub = self.Qsub + self.A1.transpose().matmul(self.A1).scale(2 * self.q)
         self.quad_free = self.Qsub.is_zero()
         n_aux = self.Qsub.cols - inst.n1
         self.aux_cost = [_ZERO] * (n_aux - 1) + [rho] if n_aux else []

@@ -21,15 +21,18 @@ ray and the duals, are those of the same simplex on a Fraction tableau.
 The QP solver is a primal active-set method whose working set stays
 linearly independent, also with least-index (Bland) selection, so
 multipliers are unique and anti-cycling is principled rather than
-perturbation-based.  Each step solves its KKT system with the matrix's
-``numkit.factor``, taken from a mapping keyed by the exact matrix that a
-caller may share among the programs of one call, and an inconsistent
-system's ray is a kernel vector of that same factor.  A QP given a start
-point begins with the independent rows active there in its working set
-(Nocedal and Wright, Numerical Optimization, 16.5; the rows are the pivot
-columns of ``numkit.echelon``), and carries its inequality slacks from
-step to step instead of recomputing them; the KKT check of the result
-still recomputes everything from the program.
+perturbation-based.  A caller may share one mapping among the programs
+of one call; it holds one entry per constraint system, keyed by the exact
+matrices ``(Qobj, eq_lhs, ineq_lhs)`` and made once the objective has
+passed the PSD check, which maps each working set to the ``numkit.factor``
+of its KKT matrix.  Each step solves its KKT system with that factor, and
+an inconsistent system's ray is a kernel vector of the same factor.  A QP
+given a start point begins with the independent rows active there in its
+working set (Nocedal and Wright, Numerical Optimization, 16.5; the rows
+are the pivot columns of ``numkit.echelon``), and carries its inequality
+slacks from step to step, each ``G d`` one ``RatMat.matvec``, instead of
+recomputing them; the KKT check of the result still recomputes
+everything from the program.
 """
 
 from __future__ import annotations
@@ -333,13 +336,14 @@ def _verify_kkt(Qobj, cobj, eq_lhs, eq_rhs, ineq_lhs, ineq_rhs,
         raise InternalInvariantError("stationarity residual nonzero")
     if eq_lhs.rows and eq_lhs.matvec(x) != eq_rhs:
         raise InternalInvariantError("equality constraints violated")
-    for j in range(ineq_lhs.rows):
-        slack = ineq_rhs[j] - ineq_lhs.row(j).dot(x)
+    if not ineq_lhs.rows:
+        return
+    for slack, y in zip(ineq_rhs - ineq_lhs.matvec(x), y_in):
         if slack < 0:
             raise InternalInvariantError("inequality constraints violated")
-        if y_in[j] < 0:
+        if y < 0:
             raise InternalInvariantError("negative inequality multiplier")
-        if y_in[j] * slack != 0:
+        if y * slack != 0:
             raise InternalInvariantError("complementary slackness violated")
 
 
@@ -374,12 +378,15 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None,
         [[Q, C^T], [C, 0]] (d, w) = (-g, 0),   g = Q x + c,
 
     where C stacks the equality rows and the working rows, with one
-    ``solve`` of the matrix's ``numkit.factor``.  The factor comes from
-    ``factors``, a mapping keyed by the exact matrix K (never by the
-    working set, so a key cannot name another matrix's factor), and is
-    added to it on a miss; a caller that solves many programs sharing Q
-    and the constraint rows passes one mapping to all of them, and without
-    one each call starts an empty dict.  Working rows stay linearly
+    ``solve`` of the matrix's ``numkit.factor``.  ``factors`` holds one
+    entry per constraint system, keyed by its exact matrices ``(Qobj,
+    eq_lhs, ineq_lhs)``: the entry is made once Q has passed the PSD check
+    (a Q that fails it raises NotPsdError and leaves no entry), and it
+    maps each working set to its KKT factor, built on a miss.  Within one
+    system the working set fixes K, so no key can name another matrix's
+    factor.  A caller that solves many programs sharing Q and the
+    constraint rows passes one mapping to all of them, and without one
+    each call starts an empty dict.  Working rows stay linearly
     independent of the other rows of C; a dependent equality row is a free
     column of the system, so its multiplier is 0 and the others are
     unique.  A nonzero d is a step; at d = 0 the multipliers are -w on the
@@ -391,9 +398,13 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None,
     n = len(qp.cobj)
     if factors is None:
         factors = {}
-    psd = ldl_psd_check(qp.Qobj)
-    if not psd.is_psd:
-        raise NotPsdError("objective matrix is not PSD", witness=psd.witness)
+    system = (qp.Qobj, qp.eq_lhs, qp.ineq_lhs)
+    table = factors.get(system)
+    if table is None:
+        psd = ldl_psd_check(qp.Qobj)
+        if not psd.is_psd:
+            raise NotPsdError("objective matrix is not PSD", witness=psd.witness)
+        table = factors[system] = {}
 
     if x0 is None:
         feas = solve_lp(LinearProgram(RatVec.zeros(n), qp.eq_lhs, qp.eq_rhs,
@@ -409,24 +420,21 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None,
             raise InternalInvariantError("start point violates an equality row")
         x = x0
 
-    eq_rows = qp.eq_lhs.row_list()
-    G_rows = qp.ineq_lhs.row_list()
-    m_eq, m_in = len(eq_rows), len(G_rows)
-    slack = [hi - _row_dot(row, x) for row, hi in zip(G_rows, qp.ineq_rhs)]
+    G = qp.ineq_lhs if qp.ineq_lhs.rows else RatMat.zeros(0, n)
+    m_eq, m_in = qp.eq_lhs.rows, G.rows
+    slack = list(qp.ineq_rhs - G.matvec(x))
     if any(si < 0 for si in slack):
         raise InternalInvariantError("start point violates an inequality row")
-    working = [] if x0 is None else _active_rows(eq_rows, G_rows, slack)
+    working = [] if x0 is None else _active_rows(qp.eq_lhs, G, slack)
 
     max_iters = 500 + 30 * (n + m_in + m_eq) ** 2
     for _ in range(max_iters):
         g = qp.Qobj.matvec(x) + qp.cobj
-        C = RatMat.vstack([qp.eq_lhs, qp.ineq_lhs.submatrix(working, range(n))],
-                          cols=n)
-        K = kkt_matrix(qp.Qobj, C)
-        fac = factors.get(K)
+        fac = table.get(tuple(working))
         if fac is None:
-            fac = factors[K] = factor(K)
-        sol = fac.solve(RatVec(list(-g) + [_ZERO] * C.rows))
+            C = RatMat.vstack([qp.eq_lhs, G.submatrix(working, range(n))], cols=n)
+            fac = table[tuple(working)] = factor(kkt_matrix(qp.Qobj, C))
+        sol = fac.solve(RatVec(list(-g) + [_ZERO] * (m_eq + len(working))))
         if sol.status == INCONSISTENT:
             d = next((z[:n] for z in fac.kernel if g.dot(z[:n]) != 0), None)
             if d is None:
@@ -441,15 +449,15 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None,
             d, cap = sol.x[:n], _ONE
 
         if not d.is_zero():
-            blocker, alpha, gd = _ratio_test(G_rows, slack, d, working, cap)
+            gd = G.matvec(d)
+            blocker, alpha = _ratio_test(slack, gd, cap)
             if blocker is None and cap is None:
                 report = SolveReport(status=UNBOUNDED, x=x, ray=d)
                 _verify_ray(qp.cobj, qp.eq_lhs, qp.ineq_lhs, d, qp.Qobj)
                 return report
             x = x + d.scale(alpha)
             if alpha:
-                for i, gdi in gd.items():
-                    slack[i] -= alpha * gdi
+                slack = [si - alpha * gdi if gdi else si for si, gdi in zip(slack, gd)]
             if blocker is not None:
                 working = sorted(working + [blocker])
             continue
@@ -473,13 +481,7 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None,
     raise InternalInvariantError("active-set iteration cap exceeded")
 
 
-def _row_dot(row: list[Fraction], v) -> Fraction:
-    """Exact row . v over the row's nonzero entries."""
-    return sum((a * b for a, b in zip(row, v) if a), _ZERO)
-
-
-def _active_rows(eq_rows: list[list[Fraction]], G_rows: list[list[Fraction]],
-                 slack: list[Fraction]) -> list[int]:
+def _active_rows(eq_lhs: RatMat, ineq_lhs: RatMat, slack: list[Fraction]) -> list[int]:
     """The inequality rows at zero slack, kept while linearly independent.
 
     Rows are taken greedily in row order: a row enters when it is not in
@@ -490,36 +492,28 @@ def _active_rows(eq_rows: list[list[Fraction]], G_rows: list[list[Fraction]],
     active = [i for i, si in enumerate(slack) if si == 0]
     if not active:
         return []
-    cands = int_rows(eq_rows + [G_rows[i] for i in active])
+    m_eq = eq_lhs.rows
+    cands = int_rows([eq_lhs.row(i) for i in range(m_eq)]
+                     + [ineq_lhs.row(i) for i in active])
     T = [list(col) for col in zip(*cands)]
-    m_eq = len(eq_rows)
     return [active[k - m_eq] for k in echelon(T, len(cands))[1] if k >= m_eq]
 
 
-def _ratio_test(G_rows: list[list[Fraction]], slack: list[Fraction],
-                d: RatVec, working: list[int], cap: Fraction | None):
+def _ratio_test(slack: list[Fraction], gd: RatVec, cap: Fraction | None):
     """Largest feasible step along d, capped; smallest blocking row wins ties.
 
-    Returns the blocking row (None when the cap or nothing blocks), the
-    step length and ``G_i d`` for every non-working row where it is
-    nonzero, so the caller can carry the slacks past the step.  A working
-    row has ``G_i d = 0``: d lies in the null space of the working rows.
+    ``gd`` is ``G d``.  Returns the blocking row (None when the cap or
+    nothing blocks) and the step length.  A working row has ``G_i d = 0``
+    exactly (d lies in the null space of the working rows), so it never
+    blocks.
     """
-    blocker = None
-    alpha = cap
-    wset = set(working)
-    gd = {}
-    for i, row in enumerate(G_rows):
-        if i in wset:
-            continue
-        gdi = _row_dot(row, d)
-        if gdi:
-            gd[i] = gdi
-            if gdi > 0:
-                ratio = slack[i] / gdi
-                if alpha is None or ratio < alpha:
-                    alpha, blocker = ratio, i
-    return blocker, alpha, gd
+    blocker, alpha = None, cap
+    for i, gdi in enumerate(gd):
+        if gdi > 0:
+            ratio = slack[i] / gdi
+            if alpha is None or ratio < alpha:
+                alpha, blocker = ratio, i
+    return blocker, alpha
 
 
 def check_boundedness(inst) -> BoundednessReport:

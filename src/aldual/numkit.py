@@ -240,10 +240,11 @@ class RatMat:
     The constructor coerces every entry through :func:`rat` and checks the
     shape.  The module's own block operations build their results with
     :meth:`_trusted`, which skips both: their rows are tuples of Fractions
-    of one width already.
+    of one width already.  The hash is computed once, on first use, and
+    kept: a matrix never changes.
     """
 
-    __slots__ = ("_rows", "rows", "cols")
+    __slots__ = ("_rows", "rows", "cols", "_hash")
 
     def __init__(self, rows: Iterable[Iterable], cols: int | None = None):
         data = tuple(tuple(rat(e) for e in row) for row in rows)
@@ -402,7 +403,11 @@ class RatMat:
         )
 
     def __hash__(self) -> int:
-        return hash((self._rows, self.cols))
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self._rows, self.cols))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         body = "; ".join(

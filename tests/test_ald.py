@@ -548,6 +548,22 @@ def _coupled_instance():
         f=RatVec([0, 2, 0, 0, 2, 2]), n1=1, n2=2)
 
 
+def test_block_memo_keeps_one_block_per_penalty_shape():
+    # the continuous block does not depend on the weight (the sql2 term
+    # 2 rho A1^T A1 is added by each weight's slicer), so a 40-weight sql2
+    # sweep leaves two blocks on the instance, solve_ip's and the
+    # relaxation's, and each row equals the relaxation on a fresh instance
+    inst = _coupled_instance()
+    pen = Penalty(SQL2, inst.m)
+    rhos = [Fraction(k, 4) for k in range(40)]
+    rows = gap_sweep(inst, pen, rhos)
+    assert sorted(vars(inst)["__x1_block"]) == [(None, 1, False), (None, 1, True)]
+    lam = lambda_bar(inst).lambda_bar
+    for row in rows[::13]:
+        fresh = eval_lr_plus(_coupled_instance(), lam, row.rho, pen)
+        assert (row.z_lr, row.violation) == (fresh.value, fresh.violation)
+
+
 def _cold_route(slicer, pen):
     """eval_lr_plus's value, argmin and violation from one cold solve per
     box point, and the points whose slice is infeasible."""

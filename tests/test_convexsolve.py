@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from aldual import convexsolve
+from aldual import ald, convexsolve
 from aldual.convexsolve import (
     INFEASIBLE,
     LinearProgram,
@@ -15,12 +15,21 @@ from aldual.convexsolve import (
     solve_lp,
     solve_qp,
 )
-from aldual.ald import relaxation_program
+from aldual.ald import gap_sweep, lambda_bar, relaxation_program, solve_ip
 from aldual.errors import DimMismatchError, InternalInvariantError, NotPsdError
 from aldual.instance import MiqpInstance
-from aldual.numkit import INCONSISTENT, RatMat, RatVec, quad_form, solve_linear
+from aldual.numkit import (
+    INCONSISTENT,
+    RatMat,
+    RatVec,
+    ldl_psd_check,
+    quad_form,
+    solve_linear,
+)
+from aldual.penalty import L1, Penalty
 
 from conftest import d1_instance
+from test_ald import grid_25
 
 
 def rand_rat(rng, mag=3):
@@ -137,6 +146,41 @@ def test_qp_not_psd_rejected():
     with pytest.raises(NotPsdError):
         solve_qp(QuadraticProgram(RatMat([[-1]]), RatVec([0]),
                                   *_no_rows(1), *_no_rows(1)))
+
+
+def test_qp_not_psd_leaves_no_entry(monkeypatch):
+    # the PSD verdict is kept only for a system that passes: each call
+    # sharing the mapping checks the objective again and raises again
+    checks = []
+    monkeypatch.setattr(convexsolve, "ldl_psd_check",
+                        lambda M: checks.append(M) or ldl_psd_check(M))
+    qp = QuadraticProgram(RatMat([[-1]]), RatVec([0]), *_no_rows(1), *_no_rows(1))
+    factors: dict = {}
+    for _ in range(3):
+        with pytest.raises(NotPsdError):
+            solve_qp(qp, factors=factors)
+    assert factors == {} and len(checks) == 3
+
+
+def test_one_psd_check_per_system_per_sweep(monkeypatch):
+    # an l1 sweep over four weights: the slice programs of every weight
+    # share one constraint system, whose objective is checked once for
+    # the sweep's 100 slice QPs
+    inst = grid_25()
+    for fact in (ald._slices, solve_ip, lambda_bar):
+        fact(inst)
+    checks, systems, solves = [], set(), []
+    monkeypatch.setattr(convexsolve, "ldl_psd_check",
+                        lambda M: checks.append(M) or ldl_psd_check(M))
+
+    def solving(qp, x0=None, factors=None):
+        solves.append(qp)
+        systems.add((qp.Qobj, qp.eq_lhs, qp.ineq_lhs))
+        return solve_qp(qp, x0, factors)
+
+    monkeypatch.setattr(ald, "solve_qp", solving)
+    gap_sweep(inst, Penalty(L1, inst.m), [1, 2, 4, 8])
+    assert (len(solves), len(systems), len(checks)) == (100, 1, 1)
 
 
 def test_qp_infeasible():

@@ -350,7 +350,9 @@ def test_psd_check_equals_fraction_schur_update(M):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_working_sets())
 def test_active_rows_equal_fraction_echelon_basis(args):
-    assert _active_rows(*args) == reference_active_rows(*args)
+    eq_rows, G_rows, slack = args
+    got = _active_rows(RatMat(eq_rows), RatMat(G_rows), slack)
+    assert got == reference_active_rows(*args)
 
 
 def test_pivot_checks_each_division():
