@@ -300,7 +300,7 @@ class SliceFamily:
             return RelaxReport(None, None, None, row.x2, unbounded=True)
         x = slicer.lift(row.x2, rep)
         inst = self.inst
-        residual = inst.b - inst.A.matvec(x) if inst.m else RatVec([])
+        residual = inst.b - inst.A.matvec(x)
         return RelaxReport(value, x, pen_mod.evaluate(self.pen, residual), row.x2)
 
 
@@ -463,11 +463,13 @@ def solve_ip(inst: MiqpInstance) -> SolveReport:
 
 
 def ground_truth(inst: MiqpInstance) -> SolveReport:
-    """solve_ip's report, which must be OPTIMAL (InfeasibleDomainError
-    otherwise)."""
+    """solve_ip's report, which must be OPTIMAL: InfeasibleDomainError if it
+    is infeasible, NlpUnboundedError if it is unbounded (the continuous
+    relaxation holds every mixed-integer point, so it is unbounded too)."""
     ip = solve_ip(inst)
     if ip.status != OPTIMAL:
-        raise InfeasibleDomainError(f"ground-truth solve is {ip.status}")
+        error = NlpUnboundedError if ip.status == UNBOUNDED else InfeasibleDomainError
+        raise error(f"ground-truth solve is {ip.status}")
     return ip
 
 

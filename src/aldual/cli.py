@@ -5,7 +5,11 @@ as exact ``p/q`` strings; re-parsing any output reproduces the values.
 
 Exit codes: 0 success; 1 input error; 2 assumption violation (unbounded
 where boundedness is required, or an unbounded integer variable);
-3 problem infeasible; 4 internal invariant breach (never expected).
+3 problem infeasible; 4 internal invariant breach, which is any other
+failure and so a bug.  ``main`` maps an error to its code by its category
+in ``errors`` (``InputError``, ``AssumptionError``, ``InfeasibleError``),
+never by its name, so a new error class needs no edit here; an
+``OSError`` is an input error, and every other exception is internal.
 """
 
 from __future__ import annotations
@@ -18,25 +22,9 @@ from fractions import Fraction
 
 from . import ald, exactrho, instance as inst_mod, penalty as pen_mod
 from .convexsolve import INFEASIBLE, UNBOUNDED, check_boundedness
-from .errors import (
-    AldualError,
-    BisectionCapError,
-    DeltaZeroError,
-    DimMismatchError,
-    InfeasibleDomainError,
-    InternalInvariantError,
-    NegativeDeltaError,
-    NlpInfeasibleError,
-    NlpUnboundedError,
-    NotPsdError,
-    NotSquareError,
-    NotSymmetricError,
-    ParseError,
-    RationalParseError,
-    SchemaViolationError,
-    UnboundedIntegerVarError,
-    UnsupportedKindError,
-)
+from .errors import (AldualError, AssumptionError, InfeasibleError,
+                     InputError, ParseError, RationalParseError,
+                     UnboundedIntegerVarError)
 from .numkit import RatVec, parse_rat, to_wire
 
 EXIT_OK = 0
@@ -46,7 +34,7 @@ EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
 
-class UsageError(AldualError):
+class UsageError(InputError):
     pass
 
 
@@ -100,8 +88,11 @@ def _resolve_lambda(source: str, inst) -> RatVec:
         return ald.lambda_bar(inst).lambda_bar
     if source == "zeros":
         return RatVec.zeros(inst.m)
-    with open(source, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+        raise ParseError(str(exc)) from exc
     if not isinstance(data, list):
         raise ParseError("multiplier file must be a JSON list of p/q strings")
     vec = RatVec(parse_rat(s) for s in data)
@@ -253,11 +244,14 @@ def cmd_rho(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = inst_mod.GenConfig(
-        n1=args.n1, n2=args.n2, m=args.m, m2=args.m2,
-        magnitude=args.magnitude, seed=args.seed,
-        require_feasible=args.feasible,
-    )
+    try:
+        cfg = inst_mod.GenConfig(
+            n1=args.n1, n2=args.n2, m=args.m, m2=args.m2,
+            magnitude=args.magnitude, seed=args.seed,
+            require_feasible=args.feasible,
+        )
+    except ValueError as exc:  # a count or magnitude out of range
+        raise InputError(str(exc)) from exc
     inst = inst_mod.generate(cfg)
     inst_mod.write_instance(inst, args.out)
     return EXIT_OK
@@ -331,24 +325,19 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    # shape and curvature errors subclass ValueError but cannot come from an
-    # instance that passed validation: they are bugs, not bad input
-    except (InternalInvariantError, BisectionCapError, AssertionError,
-            DimMismatchError, NotSquareError, NotSymmetricError, NotPsdError,
-            NegativeDeltaError) as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (ParseError, SchemaViolationError, RationalParseError,
-            UnsupportedKindError, OSError, ValueError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NlpUnboundedError, UnboundedIntegerVarError,
-            DeltaZeroError) as exc:
+    except AssumptionError as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
-    except (NlpInfeasibleError, InfeasibleDomainError) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except Exception as exc:  # a bug; an untyped one is named, as no traceback shows
+        name = "" if isinstance(exc, AldualError) else f"{type(exc).__name__}: "
+        print(f"internal invariant breach: {name}{exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

@@ -75,7 +75,7 @@ def _check_system(n, eq_lhs, eq_rhs, ineq_lhs, ineq_rhs):
     if ineq_lhs.rows != len(ineq_rhs):
         raise DimMismatchError("inequality rows vs rhs")
     for M in (eq_lhs, ineq_lhs):
-        if M.rows > 0 and M.cols != n:
+        if M.cols != n:
             raise DimMismatchError(f"constraint width {M.cols} vs {n} variables")
 
 
@@ -348,9 +348,9 @@ def _verify_kkt(Qobj, cobj, eq_lhs, eq_rhs, ineq_lhs, ineq_rhs,
 
 
 def _verify_ray(cobj, eq_lhs, ineq_lhs, ray: RatVec, Qobj=None) -> None:
-    if eq_lhs.rows and not eq_lhs.matvec(ray).is_zero():
+    if not eq_lhs.matvec(ray).is_zero():
         raise InternalInvariantError("ray leaves the equality system")
-    if ineq_lhs.rows and any(a > 0 for a in ineq_lhs.matvec(ray)):
+    if any(a > 0 for a in ineq_lhs.matvec(ray)):
         raise InternalInvariantError("ray is not a recession direction")
     if Qobj is not None and not Qobj.matvec(ray).is_zero():
         raise InternalInvariantError("ray has curvature")
@@ -420,7 +420,7 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None,
             raise InternalInvariantError("start point violates an equality row")
         x = x0
 
-    G = qp.ineq_lhs if qp.ineq_lhs.rows else RatMat.zeros(0, n)
+    G = qp.ineq_lhs
     m_eq, m_in = qp.eq_lhs.rows, G.rows
     slack = list(qp.ineq_rhs - G.matvec(x))
     if any(si < 0 for si in slack):

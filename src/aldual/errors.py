@@ -3,11 +3,35 @@
 Errors that represent *data* (validation violations, infeasible statuses,
 unbounded sentinels) are not exceptions; only contract breaches and
 unusable inputs raise.
+
+A run that cannot make its claim says which of four things is at fault,
+and the base class of its error names it (the CLI's exit code follows):
+
+- ``InputError``: the input is unusable, a file, a numeral or an option
+  (exit 1);
+- ``AssumptionError``: the input breaks a boundedness assumption of the
+  theorems, so no finite claim exists (exit 2);
+- ``InfeasibleError``: the problem has no feasible point (exit 3);
+- anything else is a bug (exit 4): the classes directly under
+  ``AldualError`` each name a broken invariant, and an exception from
+  outside the package is a bug too.
 """
 
 
 class AldualError(Exception):
     """Base class for all package errors."""
+
+
+class InputError(AldualError):
+    """The input is unusable: a file, a numeral or an option."""
+
+
+class AssumptionError(AldualError):
+    """The input breaks a boundedness assumption of the theorems."""
+
+
+class InfeasibleError(AldualError):
+    """The problem has no feasible point."""
 
 
 class DimMismatchError(AldualError, ValueError):
@@ -30,19 +54,19 @@ class NotPsdError(AldualError, ValueError):
         self.witness = witness
 
 
-class RationalParseError(AldualError, ValueError):
+class RationalParseError(InputError, ValueError):
     """A string is not a valid base-10 ``p/q`` rational."""
 
 
-class ParseError(AldualError):
-    """An instance file failed to parse; carries field/position detail."""
+class ParseError(InputError):
+    """An input file failed to parse; carries field/position detail."""
 
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
 
 
-class SchemaViolationError(AldualError):
+class SchemaViolationError(InputError):
     """An instance file parsed but does not match the schema."""
 
     def __init__(self, field):
@@ -54,11 +78,11 @@ class NegativeDeltaError(AldualError, ValueError):
     """A nonnegative level was required."""
 
 
-class UnsupportedKindError(AldualError, ValueError):
+class UnsupportedKindError(InputError, ValueError):
     """The penalty kind does not support the requested operation."""
 
 
-class UnboundedIntegerVarError(AldualError):
+class UnboundedIntegerVarError(AssumptionError):
     """An integer variable has no finite implied bound; enumeration refused."""
 
     def __init__(self, index):
@@ -66,19 +90,19 @@ class UnboundedIntegerVarError(AldualError):
         self.index = index
 
 
-class NlpInfeasibleError(AldualError):
+class NlpInfeasibleError(InfeasibleError):
     """The continuous relaxation is infeasible."""
 
 
-class NlpUnboundedError(AldualError):
+class NlpUnboundedError(AssumptionError):
     """The continuous relaxation is unbounded; multipliers do not exist."""
 
 
-class InfeasibleDomainError(AldualError):
+class InfeasibleDomainError(InfeasibleError):
     """The mixed integer linear set is empty."""
 
 
-class DeltaZeroError(AldualError):
+class DeltaZeroError(AssumptionError):
     """The infimum of the violation over infeasible points is zero."""
 
 

@@ -87,11 +87,11 @@ def validate(inst: MiqpInstance) -> list[Violation]:
         out.append(Violation("DIM", f"n1+n2={n} but Q has {inst.Q.cols} columns"))
     if len(inst.c) != n:
         out.append(Violation("DIM", f"c has dim {len(inst.c)}, expected {n}"))
-    if inst.A.cols != n and inst.A.rows > 0:
+    if inst.A.cols != n:
         out.append(Violation("DIM", f"A has {inst.A.cols} columns, expected {n}"))
     if len(inst.b) != inst.A.rows:
         out.append(Violation("DIM", f"b has dim {len(inst.b)}, A has {inst.A.rows} rows"))
-    if inst.E.cols != n and inst.E.rows > 0:
+    if inst.E.cols != n:
         out.append(Violation("DIM", f"E has {inst.E.cols} columns, expected {n}"))
     if len(inst.f) != inst.E.rows:
         out.append(Violation("DIM", f"f has dim {len(inst.f)}, E has {inst.E.rows} rows"))
@@ -254,6 +254,9 @@ def read_instance(path) -> MiqpInstance:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            # not UTF-8, an int literal longer than int() converts, too deep
+            raise ParseError(str(exc)) from exc
     return from_json_dict(doc)
 
 

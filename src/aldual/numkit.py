@@ -74,12 +74,14 @@ def parse_rat(text: str) -> Fraction:
     """Parse the strict ``p/q`` wire format (minus sign on p only, q > 0)."""
     if not isinstance(text, str) or not _RAT_RE.match(text):
         raise RationalParseError(f"malformed rational {text!r}")
-    if "/" in text:
-        p, q = text.split("/")
-        if int(q) == 0:
-            raise RationalParseError(f"zero denominator in {text!r}")
-        return Fraction(int(p), int(q))
-    return Fraction(int(text))
+    p, _, q = text.partition("/")
+    try:
+        num, den = int(p), int(q or 1)
+    except ValueError as exc:  # more digits than int() converts
+        raise RationalParseError(str(exc)) from exc
+    if den == 0:
+        raise RationalParseError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def format_rat(value: Fraction) -> str:
@@ -327,13 +329,13 @@ class RatMat:
                                else ((),) * self.cols, self.rows)
 
     def matvec(self, v: RatVec) -> RatVec:
-        """M v, summing each row over its nonzero entries only."""
+        """M v, summing each row over the terms with both factors nonzero."""
         if self.cols != len(v):
             raise DimMismatchError(f"matvec: {self.rows}x{self.cols} with dim {len(v)}")
         e = tuple(v)
         return RatVec._trusted(tuple(
-            sum((a * b for a, b in zip(row, e) if a), _ZERO) for row in self._rows
-        ))
+            sum((a * b for a, b in zip(row, e) if a and b), _ZERO)
+            for row in self._rows))
 
     def tmatvec(self, v: RatVec) -> RatVec:
         """Transpose-apply: returns M^T v."""

@@ -20,7 +20,6 @@ from fractions import Fraction
 from .errors import (
     DimMismatchError,
     NegativeDeltaError,
-    RationalParseError,
     UnsupportedKindError,
 )
 from .numkit import (
@@ -76,7 +75,7 @@ def parse_penalty(spec: str, dim: int) -> Penalty:
     if spec.startswith("slinf:"):
         try:
             return Penalty(SCALED_LINF, dim, alpha=parse_rat(spec[len("slinf:"):]))
-        except (RationalParseError, ValueError) as exc:
+        except ValueError as exc:
             raise UnsupportedKindError(f"bad slinf scale in {spec!r}") from exc
     raise UnsupportedKindError(f"unknown penalty spec {spec!r}")
 

@@ -1,14 +1,21 @@
+import contextlib
 import dataclasses
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from aldual import ald, cli, exactrho
+from aldual import ald, cli, exactrho, instance as inst_mod
 from aldual.cli import main, parse_rho_schedule, UsageError
 from aldual.errors import (
+    AldualError,
+    AssumptionError,
     DimMismatchError,
+    InfeasibleError,
+    InputError,
     NegativeDeltaError,
     NotPsdError,
     NotSquareError,
@@ -373,3 +380,189 @@ def test_instance_without_variables(tmp_path, capsys):
     assert main(["rho", "--instance", str(path), "--penalty", "linf",
                  "--method", "sufficient"]) == 0
     assert json.loads(capsys.readouterr().out)["rho_star"] == "0"
+
+
+# The failure policy: an error's category, its base class in
+# aldual.errors, decides the exit code, and anything else is a bug.
+
+def _error_classes():
+    """Every subclass of AldualError, walked so that a new one is covered."""
+    found, todo = set(), [AldualError]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def _expected_exit(cls):
+    for base, code in ((InputError, 1), (AssumptionError, 2), (InfeasibleError, 3)):
+        if issubclass(cls, base):
+            return code
+    return 4
+
+
+_PREFIX = {1: "input error", 2: "assumption violation", 3: "infeasible",
+           4: "internal invariant breach"}
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_typed_error_exits_by_category(cls, d1_path, monkeypatch, capsys):
+    error = cls("boom")
+
+    def broken(inst):
+        raise error
+
+    monkeypatch.setattr(ald, "lambda_bar", broken)
+    code = _expected_exit(cls)
+    prefix = "usage error" if cls is UsageError else _PREFIX[code]
+    assert main(["solve", "--instance", d1_path]) == code
+    assert capsys.readouterr() == ("", f"{prefix}: {error}\n")
+
+
+def test_each_error_class_has_its_documented_exit_code():
+    # pinned, so that re-basing a class cannot silently move its exit code
+    by_code = {1: {"InputError", "ParseError", "SchemaViolationError",
+                   "RationalParseError", "UnsupportedKindError", "UsageError"},
+               2: {"AssumptionError", "NlpUnboundedError",
+                   "UnboundedIntegerVarError", "DeltaZeroError"},
+               3: {"InfeasibleError", "NlpInfeasibleError",
+                   "InfeasibleDomainError"},
+               4: {"InternalInvariantError", "BisectionCapError",
+                   "DimMismatchError", "NotSquareError", "NotSymmetricError",
+                   "NotPsdError", "NegativeDeltaError"}}
+    classes = {cls.__name__: cls for cls in _error_classes()}
+    for code, names in by_code.items():
+        for name in names:
+            assert _expected_exit(classes[name]) == code, name
+
+
+_UNTYPED = [ValueError("boom"), ZeroDivisionError("boom"), KeyError("boom"),
+            AssertionError("boom")]
+
+
+@pytest.mark.parametrize("error", _UNTYPED, ids=lambda e: type(e).__name__)
+def test_untyped_error_is_internal(error, d1_path, tmp_path, monkeypatch,
+                                   capsys):
+    def broken(*args):
+        raise error
+
+    line = ("", f"internal invariant breach: {type(error).__name__}: {error}\n")
+    monkeypatch.setattr(ald, "lambda_bar", broken)
+    assert main(["solve", "--instance", d1_path]) == 4
+    assert capsys.readouterr() == line
+    # in every command: each reads its instance, or generates one
+    monkeypatch.setattr(inst_mod, "read_instance", broken)
+    monkeypatch.setattr(inst_mod, "generate", broken)
+    for argv in (["check", "--instance", d1_path],
+                 ["solve", "--instance", d1_path],
+                 ["sweep", "--instance", d1_path, "--penalty", "l1",
+                  "--rhos", "0,1"],
+                 ["rho", "--instance", d1_path, "--penalty", "linf",
+                  "--method", "sufficient"],
+                 ["gen", "--n1", "1", "--n2", "1", "--m", "1",
+                  "--out", str(tmp_path / "g.json")]):
+        assert main(argv) == 4, argv
+        assert capsys.readouterr() == line
+
+
+# Input failures that once reached main only as a bare ValueError (or as an
+# uncaught RecursionError) are typed where they arise; each line below is
+# the one the CLI printed before they were typed, unless noted.
+_DIGITS = "1" * 5000
+_DIGITS_LINE = ("Exceeds the limit (4300 digits) for integer string conversion: "
+                "value has 5000 digits; use sys.set_int_max_str_digits() to "
+                "increase the limit")
+_NOT_UTF8_LINE = ("'utf-8' codec can't decode byte 0xff in position 0: "
+                  "invalid start byte")
+_TOO_DEEP = ("maximum recursion depth exceeded while decoding a JSON array "
+             "from a unicode string")
+_D1 = str(ROOT / "instances" / "d1.json")
+_SHIFT = ["rho", "--instance", _D1, "--penalty", "linf", "--method", "shift",
+          "--lambda"]
+
+
+@pytest.mark.parametrize("argv,content,line", [
+    (["check", "--instance"], b"\xff{}", f"input error: {_NOT_UTF8_LINE}"),
+    (["check", "--instance"], f'{{"n1": {_DIGITS}}}'.encode(),
+     f"input error: {_DIGITS_LINE}"),
+    # an uncaught RecursionError before: a traceback, exit 1
+    (["check", "--instance"], b"[" * 100_000, f"input error: {_TOO_DEEP}"),
+    (_SHIFT, b"\xff[]", f"input error: {_NOT_UTF8_LINE}"),
+    (_SHIFT, b"nope", "input error: Expecting value: line 1 column 1 (char 0)"),
+    (_SHIFT, f'["{_DIGITS}"]'.encode(), f"input error: {_DIGITS_LINE}"),
+    (_SHIFT, b"[" * 100_000, f"input error: {_TOO_DEEP}"),
+], ids=["instance-not-utf8", "instance-long-int", "instance-too-deep",
+        "lambda-not-utf8", "lambda-not-json", "lambda-long-numeral",
+        "lambda-too-deep"])
+def test_bad_input_file_is_input_error(argv, content, line, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    assert main([*argv, str(path)]) == 1
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+@pytest.mark.parametrize("argv,line", [
+    # before: "input error: ...", through the bare ValueError clause; a
+    # --rhos token that parse_rat rejects is a usage error, as in geom:
+    (["sweep", "--instance", _D1, "--penalty", "linf", "--rhos", _DIGITS],
+     f"usage error: {_DIGITS_LINE}"),
+    (["gen", "--n1", "-1", "--n2", "1", "--m", "0"],
+     "input error: counts must be nonnegative"),
+    (["gen", "--n1", "1", "--n2", "1", "--m", "0", "--magnitude", "0"],
+     "input error: magnitude must be >= 1"),
+    (["gen", "--n1", "0", "--n2", "0", "--m", "0"],
+     "input error: at least one variable required"),
+], ids=["rhos-long-numeral", "gen-negative-count", "gen-magnitude-0",
+        "gen-no-variables"])
+def test_bad_option_is_input_error(argv, line, tmp_path, capsys):
+    if argv[0] == "gen":
+        argv = [*argv, "--out", str(tmp_path / "g.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+# The exit-code property: on any small generated instance, feasible or
+# not, each command of the CLI benchmark workload exits 0, 2 or 3, never 1
+# (the file is valid) or 4 (a bug).  When check finds the instance
+# unbounded (2) or infeasible (3), every command exits with check's code.
+CLI_COMMANDS = (  # the cli workload's commands (aldbench/workloads.py)
+    ("check",),
+    ("solve",),
+    ("sweep", "--penalty", "l1", "--rhos", "geom:1:2:8"),
+    ("sweep", "--penalty", "linf", "--rhos", "0,1,4", "--ascent-iters", "2"),
+    ("rho", "--penalty", "linf", "--method", "dual-linf", "--verify"),
+    ("rho", "--penalty", "l1", "--method", "norm:l1"),
+    ("rho", "--penalty", "linf", "--method", "sufficient"),
+)
+
+
+@st.composite
+def _small_configs(draw):
+    n1 = draw(st.integers(0, 1))
+    return GenConfig(n1=n1, n2=draw(st.integers(1 - n1, 2)),
+                     m=draw(st.integers(0, 1)), m2=draw(st.integers(0, 1)),
+                     magnitude=draw(st.integers(1, 2)),
+                     seed=draw(st.integers(0, 10 ** 6)),
+                     require_feasible=draw(st.booleans()))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(cfg=_small_configs())
+# the ground truth of an unbounded instance once raised an infeasibility
+# error: check exited 2 and every other command 3
+@example(cfg=GenConfig(n1=1, n2=1, m=0, m2=0, magnitude=1, seed=267613,
+                       require_feasible=False))
+def test_cli_exit_codes_on_generated_instances(cfg, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("gen") / "inst.json")
+    write_instance(generate(cfg), path)
+    codes = []
+    for cmd in CLI_COMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            codes.append(main([cmd[0], "--instance", path, *cmd[1:]]))
+        assert codes[-1] in (0, 2, 3), (cmd, err.getvalue())
+    if codes[0]:
+        assert set(codes) == {codes[0]}, codes

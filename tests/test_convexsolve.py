@@ -43,6 +43,19 @@ def _no_rows(n):
 
 # ------------------------------------------------------------------- LP
 
+@pytest.mark.parametrize("block", ["eq", "ineq"])
+def test_zero_row_block_of_wrong_width_is_dim_mismatch(block):
+    # RatMat([]) has 0 columns, so it cannot constrain 2 variables
+    eq, eqr = _no_rows(2)
+    ineq, ineqr = RatMat([[1, 1]]), RatVec([1])
+    if block == "eq":
+        eq = RatMat([])
+    else:
+        ineq, ineqr = RatMat([]), RatVec([])
+    with pytest.raises(DimMismatchError, match="constraint width 0 vs 2 variables"):
+        LinearProgram(RatVec([1, 1]), eq, eqr, ineq, ineqr)
+
+
 def test_lp_single_active_constraint():
     eq, eqr = _no_rows(1)
     rep = solve_lp(LinearProgram(RatVec([1]), eq, eqr, RatMat([[-1]]), RatVec([-1])))

@@ -40,6 +40,19 @@ def test_validate_dim_mismatch(d1):
     assert "DIM" in codes
 
 
+@pytest.mark.parametrize("field", ["A", "E"])
+def test_validate_checks_the_width_of_a_zero_row_block(field):
+    # RatMat([]) has 0 columns: a zero-row A or E must still have n of them
+    blocks = {"A": RatMat([], cols=2), "b": RatVec([]),
+              "E": RatMat([[0, 1], [0, -1]]), "f": RatVec([1, 1])}
+    blocks[field] = RatMat([])
+    blocks["b" if field == "A" else "f"] = RatVec([])
+    inst = MiqpInstance(Q=RatMat([[2, 0], [0, 2]]), c=RatVec([0, 1]),
+                        n1=1, n2=1, **blocks)
+    assert [(v.code, v.message) for v in validate(inst)] == [
+        ("DIM", f"{field} has 0 columns, expected 2")]
+
+
 def test_validate_not_symmetric(d1):
     bad = MiqpInstance(Q=RatMat([[1, 2], [0, 1]]), c=d1.c, A=d1.A, b=d1.b,
                        E=d1.E, f=d1.f, n1=0, n2=2)

@@ -19,7 +19,9 @@ lives in one module.  Only ``ald`` names ``SliceSolver``: every other
 module gets its slicers from an ``ald.SliceFamily``, which checks the
 arguments once per call and shares one KKT factor mapping among the
 call's weights, so no module can build a slicer outside a family, not
-even through ``partial(SliceSolver, ...)``.
+even through ``partial(SliceSolver, ...)``.  ``cli.main`` catches only
+the error categories of ``aldual.errors`` and, last, ``Exception``: an
+error's exit code comes from its base class, never from a list of names.
 """
 
 import ast
@@ -134,3 +136,13 @@ def test_slice_solver_rule_covers_calls_closures_and_imports():
                          ids=lambda p: p.name)
 def test_only_ald_builds_slice_solvers(path):
     assert _slice_solver_names(_tree(path)) == []
+
+
+def test_cli_main_catches_the_error_categories_only():
+    tree = _tree(next(p for p in MODULES if p.stem == "cli"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = [ast.unparse(handler.type) for node in ast.walk(main)
+              if isinstance(node, ast.Try) for handler in node.handlers]
+    assert caught == ["UsageError", "(InputError, OSError)", "AssumptionError",
+                      "InfeasibleError", "Exception"]
