@@ -24,14 +24,20 @@ multipliers are unique and anti-cycling is principled rather than
 perturbation-based.  A caller may share one mapping among the programs
 of one call; it holds one entry per constraint system, keyed by the exact
 matrices ``(Qobj, eq_lhs, ineq_lhs)`` and made once the objective has
-passed the PSD check, which maps each working set to the ``numkit.factor``
-of its KKT matrix.  Each step solves its KKT system with that factor, and
-an inconsistent system's ray is a kernel vector of the same factor.  A QP
-given a start point begins with the independent rows active there in its
-working set (Nocedal and Wright, Numerical Optimization, 16.5; the rows
-are the pivot columns of ``numkit.echelon``), and carries its inequality
-slacks from step to step, each ``G d`` one ``RatMat.matvec``, instead of
-recomputing them; the KKT check of the result still recomputes
+passed the PSD check.  The entry holds the system in integer form (Q over
+one denominator, each constraint row times its own) and maps each working
+set, by the least index of each of its identical rows, to the
+``numkit.factor`` of its KKT matrix.  Each step reads its KKT system off
+that factor, and an inconsistent system's ray is a kernel vector of the
+same factor.  A QP given a start point begins with the independent rows
+active there in its working set (Nocedal and Wright, Numerical
+Optimization, 16.5; the rows are the pivot columns of ``numkit.echelon``).
+Its state is integer, as the simplex's is: x is an int vector over one
+denominator, g = Q x + c and each slack an int over a positive scale, and
+the KKT right-hand side goes to the factor as ints.  The scales are
+positive, so every sign and every order of the ratio test is that of the
+same method on Fractions, and so are the steps and the reports; Fractions
+are built only for the report, and the KKT check of the result recomputes
 everything from the program.
 """
 
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     DimMismatchError,
@@ -53,11 +60,13 @@ from .numkit import (
     common_denominator,
     echelon,
     factor,
+    int_matrix,
     int_rows,
+    int_vector,
     kkt_matrix,
     ldl_psd_check,
     pivot,
-    quad_form,
+    rat_vector,
     to_wire,
 )
 
@@ -358,162 +367,238 @@ def _verify_ray(cobj, eq_lhs, ineq_lhs, ray: RatVec, Qobj=None) -> None:
         raise InternalInvariantError("ray does not decrease the objective")
 
 
+class _System:
+    """One constraint system of ``solve_qp``'s mapping, in integer form.
+
+    Made once per system per mapping, after the objective has passed the
+    PSD check: ``Q`` as the sparse int rows of Qobj over one denominator
+    ``LQ``; the equality and inequality rows, each times its own common
+    denominator (``scales`` for the inequality rows), dense for the
+    working-set seed and sparse (``G_terms``) for the steps; ``first``,
+    each inequality row's least identical row; and ``table``, the KKT
+    factor of each working set, keyed by those least rows in working-set
+    order, so two working sets that select identical rows share one factor.
+    """
+
+    __slots__ = ("Q", "LQ", "eq", "G", "scales", "G_terms", "first", "table")
+
+    def __init__(self, qp: QuadraticProgram):
+        Q, self.LQ = int_matrix(qp.Qobj)
+        self.Q = [_terms(row) for row in Q]
+        self.eq = int_rows(qp.eq_lhs.row_list())
+        G_rows = qp.ineq_lhs.row_list()
+        self.G = int_rows(G_rows)
+        self.scales = [common_denominator(row) for row in G_rows]
+        self.G_terms = [_terms(row) for row in self.G]
+        seen: dict = {}
+        self.first = [seen.setdefault((s, tuple(row)), i)
+                      for i, (s, row) in enumerate(zip(self.scales, self.G))]
+        self.table: dict = {}
+
+
+def _terms(row: list[int]) -> tuple:
+    """The nonzero entries of an int row, as (column, entry) pairs."""
+    return tuple((j, a) for j, a in enumerate(row) if a)
+
+
+def _dot(terms: tuple, v: list[int]) -> int:
+    return sum(a * v[j] for j, a in terms)
+
+
 def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None,
              factors: dict | None = None) -> SolveReport:
-    """Primal active-set method in exact arithmetic.
+    """Primal active-set method in exact arithmetic, on Python ints.
 
     The method starts at ``x0`` when it is given and at the point of a
     phase-1 LP otherwise.  A start is checked, never trusted: a wrong
     length raises DimMismatchError, and a point off the equality rows or
-    outside an inequality row raises InternalInvariantError.  The slacks
-    ``h - G x`` of that check are computed once and then carried: each step
-    ``x += alpha d`` lowers them by ``alpha G d``.  From ``x0`` the working
-    set starts on the rows active there, taken greedily in row order when
-    independent of the equality rows and of the rows already taken (see
-    :func:`_active_rows`); from the phase-1 point it starts empty, so the
-    multipliers of a cold solve do not depend on which vertex the LP found.
+    outside an inequality row raises InternalInvariantError.  From ``x0``
+    the working set starts on the rows active there, taken greedily in row
+    order when independent of the equality rows and of the rows already
+    taken (see :func:`_active_rows`); from the phase-1 point it starts
+    empty, so the multipliers of a cold solve do not depend on which vertex
+    the LP found.
 
     Each iteration solves the working set's KKT system
 
         [[Q, C^T], [C, 0]] (d, w) = (-g, 0),   g = Q x + c,
 
-    where C stacks the equality rows and the working rows, with one
-    ``solve`` of the matrix's ``numkit.factor``.  ``factors`` holds one
-    entry per constraint system, keyed by its exact matrices ``(Qobj,
-    eq_lhs, ineq_lhs)``: the entry is made once Q has passed the PSD check
-    (a Q that fails it raises NotPsdError and leaves no entry), and it
-    maps each working set to its KKT factor, built on a miss.  Within one
-    system the working set fixes K, so no key can name another matrix's
-    factor.  A caller that solves many programs sharing Q and the
-    constraint rows passes one mapping to all of them, and without one
-    each call starts an empty dict.  Working rows stay linearly
-    independent of the other rows of C; a dependent equality row is a free
-    column of the system, so its multiplier is 0 and the others are
-    unique.  A nonzero d is a step; at d = 0 the multipliers are -w on the
-    equality rows and w on the working rows.  An inconsistent system has a
-    kernel vector (u, v) of the same factor with g.u != 0, Q u = 0 and
-    C u = 0: u, oriented downhill, is a curvature-free descent direction,
-    returned as the certifying ray when no inequality row blocks it.
+    where C stacks the equality rows and the working rows, with one read
+    of the matrix's ``numkit.factor``.  ``factors`` holds one entry per
+    constraint system, keyed by its exact matrices ``(Qobj, eq_lhs,
+    ineq_lhs)``: the entry is made once Q has passed the PSD check (a Q
+    that fails it raises NotPsdError and leaves no entry), and it holds the
+    system's integer form and maps each working set to its KKT factor,
+    built on a miss (see :class:`_System`).  Within one system the rows a
+    working set selects fix K, so no key can name another matrix's factor.
+    A caller that solves many programs sharing Q and the constraint rows
+    passes one mapping to all of them, and without one each call starts an
+    empty dict.  Working rows stay linearly independent of the other rows
+    of C; a dependent equality row is a free column of the system, so its
+    multiplier is 0 and the others are unique.  A nonzero d is a step; at
+    d = 0 the multipliers are -w on the equality rows and w on the working
+    rows.  An inconsistent system has a kernel vector (u, v) of the same
+    factor with g.u != 0, Q u = 0 and C u = 0: u, oriented downhill, is a
+    curvature-free descent direction, returned as the certifying ray when
+    no inequality row blocks it.
+
+    The state is integer.  x is ``X / D``, X an int vector and D > 0,
+    reduced by their gcd after each step.  With Q over ``LQ``, c over
+    ``Lc`` and ``Lg = lcm(LQ, Lc)``, g is the int vector ``Lg D g``, fed to
+    the factor as the right-hand side, so d and w are read as ints over
+    ``det Lg D``.  Inequality row i times its scale ``s_i``, and h over its
+    common denominator H, make the slack ``s_i H D (h_i - G_i x)`` an int.
+    Every one of these scales is positive, so each sign (of a step, a
+    multiplier or a slack) is the sign of its int, and the ratio test and
+    the cap ``alpha = 1`` compare their candidates by cross-multiplying:
+    the working-set sequence, and so every report, is that of the same
+    method on Fractions.  Fractions are built only for the report; its KKT
+    check, and a ray's, recompute everything from the program in Fractions.
     """
     n = len(qp.cobj)
     if factors is None:
         factors = {}
-    system = (qp.Qobj, qp.eq_lhs, qp.ineq_lhs)
-    table = factors.get(system)
-    if table is None:
+    key = (qp.Qobj, qp.eq_lhs, qp.ineq_lhs)
+    system = factors.get(key)
+    if system is None:
         psd = ldl_psd_check(qp.Qobj)
         if not psd.is_psd:
             raise NotPsdError("objective matrix is not PSD", witness=psd.witness)
-        table = factors[system] = {}
+        system = factors[key] = _System(qp)
 
     if x0 is None:
         feas = solve_lp(LinearProgram(RatVec.zeros(n), qp.eq_lhs, qp.eq_rhs,
                                       qp.ineq_lhs, qp.ineq_rhs))
         if feas.status == INFEASIBLE:
             return SolveReport(status=INFEASIBLE)
-        x = feas.x
+        X, D = int_vector(feas.x)
     else:
         if len(x0) != n:
             raise DimMismatchError(f"start point of length {len(x0)} vs "
                                    f"{n} variables")
         if qp.eq_lhs.rows and qp.eq_lhs.matvec(x0) != qp.eq_rhs:
             raise InternalInvariantError("start point violates an equality row")
-        x = x0
+        X, D = int_vector(x0)
 
-    G = qp.ineq_lhs
-    m_eq, m_in = qp.eq_lhs.rows, G.rows
-    slack = list(qp.ineq_rhs - G.matvec(x))
+    m_eq, m_in = qp.eq_lhs.rows, qp.ineq_lhs.rows
+    hN, H = int_vector(qp.ineq_rhs)
+    hS = [s * h for s, h in zip(system.scales, hN)]
+    slack = [h * D - H * _dot(row, X) for h, row in zip(hS, system.G_terms)]
     if any(si < 0 for si in slack):
         raise InternalInvariantError("start point violates an inequality row")
-    working = [] if x0 is None else _active_rows(qp.eq_lhs, G, slack)
+    working = [] if x0 is None else _active_rows(system.eq, system.G, slack)
 
+    cN, Lc = int_vector(qp.cobj)
+    Lg = lcm(system.LQ, Lc)
+    qk = Lg // system.LQ
+    cN = [a * (Lg // Lc) for a in cN]
     max_iters = 500 + 30 * (n + m_in + m_eq) ** 2
     for _ in range(max_iters):
-        g = qp.Qobj.matvec(x) + qp.cobj
-        fac = table.get(tuple(working))
+        gN = [qk * _dot(row, X) + c * D for row, c in zip(system.Q, cN)]
+        rows = tuple(system.first[i] for i in working)
+        fac = system.table.get(rows)
         if fac is None:
-            C = RatMat.vstack([qp.eq_lhs, G.submatrix(working, range(n))], cols=n)
-            fac = table[tuple(working)] = factor(kkt_matrix(qp.Qobj, C))
-        sol = fac.solve(RatVec(list(-g) + [_ZERO] * (m_eq + len(working))))
-        if sol.status == INCONSISTENT:
-            d = next((z[:n] for z in fac.kernel if g.dot(z[:n]) != 0), None)
-            if d is None:
+            C = RatMat.vstack([qp.eq_lhs, qp.ineq_lhs.submatrix(working, range(n))],
+                              cols=n)
+            fac = system.table[rows] = factor(kkt_matrix(qp.Qobj, C))
+        sol = fac.solve_ints([-a for a in gN] + [0] * (m_eq + len(working)))
+        if sol is None:
+            for z in fac.kernel:
+                dn, Dd = int_vector(z[:n])
+                slope = sum(a * b for a, b in zip(gN, dn))
+                if slope:
+                    break
+            else:
                 raise InternalInvariantError(
                     "inconsistent KKT system without a kernel witness")
-            if g.dot(d) > 0:
-                d = -d
-            if not qp.Qobj.matvec(d).is_zero():
+            if slope > 0:
+                dn = [-a for a in dn]
+            if any(_dot(row, dn) for row in system.Q):
                 raise InternalInvariantError("recession direction has curvature")
             cap = None
         else:
-            d, cap = sol.x[:n], _ONE
+            # d is dn / (det Lg D): the cap alpha = 1 as a step (1, det Lg)
+            dn, cap = sol[:n], (1, fac.det * Lg)
 
-        if not d.is_zero():
-            gd = G.matvec(d)
-            blocker, alpha = _ratio_test(slack, gd, cap)
-            if blocker is None and cap is None:
-                report = SolveReport(status=UNBOUNDED, x=x, ray=d)
-                _verify_ray(qp.cobj, qp.eq_lhs, qp.ineq_lhs, d, qp.Qobj)
+        if any(dn):
+            blocker, step = _ratio_test(system.G_terms, hS, H, X, D, dn, cap)
+            if step is None:
+                report = SolveReport(status=UNBOUNDED, x=rat_vector(X, D),
+                                     ray=rat_vector(dn, Dd))
+                _verify_ray(qp.cobj, qp.eq_lhs, qp.ineq_lhs, report.ray, qp.Qobj)
                 return report
-            x = x + d.scale(alpha)
-            if alpha:
-                slack = [si - alpha * gdi if gdi else si for si, gdi in zip(slack, gd)]
+            v, u = step
+            if v:
+                X = [a * u + v * b for a, b in zip(X, dn)]
+                D *= u
+                k = gcd(D, *X)
+                if k > 1:
+                    X, D = [a // k for a in X], D // k
             if blocker is not None:
                 working = sorted(working + [blocker])
             continue
 
         # d = 0: candidate optimum on the current active manifold
-        y_work = sol.x[n + m_eq:]
+        y_work = sol[n + m_eq:]
         neg = next((wi for wi, y in enumerate(y_work) if y < 0), None)
         if neg is not None:
             working.pop(neg)
             continue
 
-        ineq_duals = [_ZERO] * m_in
-        for i, val in zip(working, y_work):
-            ineq_duals[i] = val
-        value = quad_form(qp.Qobj, x) / 2 + qp.cobj.dot(x)
-        report = SolveReport(OPTIMAL, value, x, -sol.x[n:n + m_eq],
-                             RatVec(ineq_duals), None)
+        scale = fac.det * Lg * D
+        ineq_duals = [0] * m_in
+        for i, y in zip(working, y_work):
+            ineq_duals[i] = y
+        # 1/2 x^T Q x + c.x = x.(g + c) / 2, and g + c is (gN + D cN) / (Lg D)
+        value = Fraction(sum(a * (g + D * c) for a, g, c in zip(X, gN, cN)),
+                         2 * Lg * D * D)
+        report = SolveReport(OPTIMAL, value, rat_vector(X, D),
+                             rat_vector([-a for a in sol[n:n + m_eq]], scale),
+                             rat_vector(ineq_duals, scale), None)
         _verify_kkt(qp.Qobj, qp.cobj, qp.eq_lhs, qp.eq_rhs, qp.ineq_lhs,
                     qp.ineq_rhs, report)
         return report
     raise InternalInvariantError("active-set iteration cap exceeded")
 
 
-def _active_rows(eq_lhs: RatMat, ineq_lhs: RatMat, slack: list[Fraction]) -> list[int]:
+def _active_rows(eq: list[list[int]], G: list[list[int]], slack: list[int]) -> list[int]:
     """The inequality rows at zero slack, kept while linearly independent.
 
-    Rows are taken greedily in row order: a row enters when it is not in
-    the span of the equality rows and of the rows taken before it.  Those
-    are the pivot columns :func:`numkit.echelon` finds with the candidate
-    rows, equality rows first, taken as the columns of a tableau.
+    ``eq`` and ``G`` are the equality and inequality rows, each times its
+    own common denominator (see :class:`_System`).  Rows are taken greedily
+    in row order: a row enters when it is not in the span of the equality
+    rows and of the rows taken before it.  Those are the pivot columns
+    :func:`numkit.echelon` finds with the candidate rows, equality rows
+    first, taken as the columns of a tableau.
     """
     active = [i for i, si in enumerate(slack) if si == 0]
     if not active:
         return []
-    m_eq = eq_lhs.rows
-    cands = int_rows([eq_lhs.row(i) for i in range(m_eq)]
-                     + [ineq_lhs.row(i) for i in active])
+    cands = eq + [G[i] for i in active]
     T = [list(col) for col in zip(*cands)]
-    return [active[k - m_eq] for k in echelon(T, len(cands))[1] if k >= m_eq]
+    return [active[k - len(eq)] for k in echelon(T, len(cands))[1] if k >= len(eq)]
 
 
-def _ratio_test(slack: list[Fraction], gd: RatVec, cap: Fraction | None):
+def _ratio_test(G_terms, hS, H, X, D, dn, cap):
     """Largest feasible step along d, capped; smallest blocking row wins ties.
 
-    ``gd`` is ``G d``.  Returns the blocking row (None when the cap or
-    nothing blocks) and the step length.  A working row has ``G_i d = 0``
-    exactly (d lies in the null space of the working rows), so it never
-    blocks.
+    A step ``(v, u)`` moves x = X / D to ``(u X + v dn) / (u D)``; steps
+    compare as the fractions v / u, by cross-multiplying.  Row i with
+    ``G_i d > 0`` blocks at the step ``(slack_i, H G_i dn)``, both over
+    the row's scale ``s_i``; ``cap`` is the capped step, or None for a
+    ray.  Returns the blocking row (None when the cap or nothing blocks)
+    and the step (None when nothing blocks a ray).  A working row has
+    ``G_i d = 0`` exactly (d lies in the null space of the working rows),
+    so it never blocks.
     """
-    blocker, alpha = None, cap
-    for i, gdi in enumerate(gd):
-        if gdi > 0:
-            ratio = slack[i] / gdi
-            if alpha is None or ratio < alpha:
-                alpha, blocker = ratio, i
-    return blocker, alpha
+    blocker, best = None, cap
+    for i, row in enumerate(G_terms):
+        gd = _dot(row, dn)
+        if gd > 0:
+            v, u = hS[i] * D - H * _dot(row, X), H * gd
+            if best is None or v * best[1] < best[0] * u:
+                blocker, best = i, (v, u)
+    return blocker, best
 
 
 def check_boundedness(inst) -> BoundednessReport:

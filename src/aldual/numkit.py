@@ -14,8 +14,14 @@ exact.  Rows of Fractions reach it through :func:`int_rows`, and
 linear solve goes through :func:`factor`, which reduces ``[M | I]`` once
 and then reads the solution for any right-hand side, and the kernel, off
 that one reduction (the reduced row echelon form is unique, so the numbers
-are those of any exact elimination).  ``solve_linear`` and
-``nullspace_basis`` are one line over it.
+are those of any exact elimination).  Its one read takes a right-hand
+side of ints and gives ints over the reduction's determinant; the read of
+a vector of Fractions wraps it.  ``solve_linear`` and ``nullspace_basis``
+are one line over it.  Every conversion of a vector or matrix between
+Fractions and ints is here too: :func:`int_vector` and :func:`int_matrix`
+write one over its common denominator, :func:`int_rows` each row over its
+own, and :func:`rat_vector` builds the Fractions back, so the solvers can
+carry ints and build Fractions only for what they return.
 
 Integer points have one kernel too: :func:`affine_at_ints` evaluates
 ``base - M x`` at an integer x with each row of ``[M | base]`` scaled once
@@ -500,6 +506,24 @@ def int_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
+def int_matrix(M: RatMat) -> tuple[list[list[int]], int]:
+    """M over its common denominator L: the rows of int numerators and L."""
+    L = lcm(*(common_denominator(row) for row in M._rows))
+    return [[a.numerator * (L // a.denominator) for a in row] for row in M._rows], L
+
+
+def int_vector(v: RatVec) -> tuple[list[int], int]:
+    """v over its common denominator L: the int numerators and L."""
+    L = common_denominator(v._e)
+    return [a.numerator * (L // a.denominator) for a in v._e], L
+
+
+def rat_vector(nums: Sequence[int], den: int) -> RatVec:
+    """The vector of Fractions ``nums / den``, each in lowest terms
+    (``den`` > 0)."""
+    return RatVec._trusted(tuple(Fraction(a, den) if a else _ZERO for a in nums))
+
+
 def pivot(T: list[list[int]], r: int, c: int, det: int) -> int:
     """One fraction-free Gauss-Jordan step on (r, c); returns the new det.
 
@@ -651,11 +675,14 @@ class Factor:
     ``[S D M | S]`` for D = diag(d) and the row operations S, and
     ``S D M / det`` is the reduced row echelon form of M, which is unique:
     every number read off it is the one any exact elimination of M gives.
-    ``kernel`` holds one basis vector of ker(M) per free column, read once
-    here.
+    There is one read, :meth:`solve_ints`, on a right-hand side of ints:
+    ``S D v`` is one int matvec, and the solution is that vector's pivot
+    entries over ``det``.  :meth:`solve` is that read on ``L v``, L the
+    common denominator of a vector of Fractions.  ``kernel`` holds one
+    basis vector of ker(M) per free column, read once here.
     """
 
-    __slots__ = ("rows", "cols", "rank", "kernel", "_den", "_det", "_pivots",
+    __slots__ = ("rows", "cols", "rank", "det", "kernel", "_den", "_pivots",
                  "_transform")
 
     def __init__(self, M: RatMat):
@@ -666,7 +693,7 @@ class Factor:
             row.extend(1 if j == i else 0 for j in range(nr))
         det, pivot_cols = echelon(T, nc)
         self.rows, self.cols, self.rank = nr, nc, len(pivot_cols)
-        self._det, self._pivots = det, tuple(pivot_cols)
+        self.det, self._pivots = det, tuple(pivot_cols)
         self._transform = [row[nc:] for row in T]
         pivoted = set(pivot_cols)
         basis = []
@@ -681,28 +708,33 @@ class Factor:
             basis.append(RatVec._trusted(tuple(z)))
         self.kernel = tuple(basis)
 
-    def solve(self, v: RatVec) -> LinearSolveReport:
-        """M x = v: the solution with the free variables at zero and the
-        kernel, or INCONSISTENT.  With L the common denominator of v,
-        ``L D v`` is a vector of ints, so the tableau's right-hand side
-        ``S L D v`` is one int matvec and each entry of x one Fraction over
-        ``det * L``."""
+    def solve_ints(self, v: Sequence[int]) -> list[int] | None:
+        """M x = v for a vector of ints: the numerators over ``det`` of the
+        solution with the free variables at zero, or None when the system
+        is inconsistent."""
         if self.rows != len(v):
             raise DimMismatchError(f"linear solve: {self.rows} rows vs rhs dim {len(v)}")
-        L = common_denominator(v._e)
-        rhs = [(j, d * a.numerator * (L // a.denominator))
-               for j, (d, a) in enumerate(zip(self._den, v._e)) if a]
+        rhs = [(j, d * a) for j, (d, a) in enumerate(zip(self._den, v)) if a]
         out = [sum(row[j] * a for j, a in rhs) for row in self._transform]
         rank = self.rank
         if any(out[rank:]):
-            return LinearSolveReport(INCONSISTENT, None, rank, ())
-        x = [_ZERO] * self.cols
-        scale = self._det * L
+            return None
+        x = [0] * self.cols
         for c, a in zip(self._pivots, out):
-            if a:
-                x[c] = Fraction(a, scale)
-        status = UNIQUE if rank == self.cols else UNDERDETERMINED
-        return LinearSolveReport(status, RatVec._trusted(tuple(x)), rank, self.kernel)
+            x[c] = a
+        return x
+
+    def solve(self, v: RatVec) -> LinearSolveReport:
+        """M x = v: the solution with the free variables at zero and the
+        kernel, or INCONSISTENT; :meth:`solve_ints` on ``L v``, each entry
+        of x one Fraction over ``det * L``."""
+        nums, L = int_vector(v)
+        x = self.solve_ints(nums)
+        if x is None:
+            return LinearSolveReport(INCONSISTENT, None, self.rank, ())
+        status = UNIQUE if self.rank == self.cols else UNDERDETERMINED
+        return LinearSolveReport(status, rat_vector(x, self.det * L), self.rank,
+                                 self.kernel)
 
 
 def factor(M: RatMat) -> Factor:

@@ -50,19 +50,27 @@ def solver_calls(monkeypatch):
 def kkt_calls(monkeypatch):
     """Records solve_qp's exact eliminations: under ``factors`` the matrix
     of each ``numkit.factor`` call made through convexsolve, under
-    ``solves`` the (factor, report) of each ``Factor.solve``."""
+    ``solves`` each read of a ``Factor`` (``Factor.solve_ints``, which
+    ``Factor.solve`` wraps) as the factor and the report ``Factor.solve``
+    gives for it: its status, rank and kernel."""
     calls = {"factors": [], "solves": []}
-    factor, solve = convexsolve.factor, numkit.Factor.solve
+    factor, solve_ints = convexsolve.factor, numkit.Factor.solve_ints
 
     def factored(K):
         calls["factors"].append(K)
         return factor(K)
 
-    def solved(fac, v):
-        rep = solve(fac, v)
+    def read(fac, v):
+        x = solve_ints(fac, v)
+        if x is None:
+            rep = numkit.LinearSolveReport(numkit.INCONSISTENT, None, fac.rank, ())
+        else:
+            status = numkit.UNIQUE if fac.rank == fac.cols else numkit.UNDERDETERMINED
+            rep = numkit.LinearSolveReport(status, numkit.rat_vector(x, fac.det),
+                                           fac.rank, fac.kernel)
         calls["solves"].append((fac, rep))
-        return rep
+        return x
 
     monkeypatch.setattr(convexsolve, "factor", factored)
-    monkeypatch.setattr(numkit.Factor, "solve", solved)
+    monkeypatch.setattr(numkit.Factor, "solve_ints", read)
     return calls

@@ -821,3 +821,23 @@ def test_sweep_checks_dimensions_at_the_call(d1):
         ald.stream_gap_sweep(d1, Penalty(LINF, 2), [0, 1])
     with pytest.raises(DimMismatchError, match="multiplier dim 2"):
         ald.stream_gap_sweep(d1, Penalty(LINF, 1), [0, 1], lam=RatVec([1, 2]))
+
+
+def test_identical_rows_share_one_factor(kkt_calls):
+    # grid_25 with the x1 entry of A's first row set to zero: both l1
+    # epigraph rows of that residual coordinate read -t_0 <= ..., so a
+    # working set holding one of them selects the same row of the slice
+    # programs as one holding the other.  The factor table keys working
+    # sets by the least index of their identical rows: each KKT matrix is
+    # factored once (5 factorizations when keyed by row index).
+    inst = grid_25()
+    A = inst.A.row_list()
+    A[0][0] = Fraction(0)
+    inst = _replace(inst, A=RatMat(A))
+    lam = lambda_bar(inst).lambda_bar
+    pen = parse_penalty("l1", inst.m)
+    G = ald.SliceFamily(inst, lam, pen).at(1).ineq_mat
+    n1, epi = inst.n1, G.rows - 2 * inst.m
+    assert G.row(epi) == G.row(epi + 1)
+    assert list(G.row(epi))[:n1] == [0] * n1
+    assert factor_counts(kkt_calls, lambda: eval_lr_plus(inst, lam, 1, pen)) == (3, 53)

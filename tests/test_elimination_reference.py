@@ -39,9 +39,12 @@ from aldual.numkit import (
     RatVec,
     common_denominator,
     factor,
+    int_rows,
+    int_vector,
     ldl_psd_check,
     pivot,
     quad_form,
+    rat_vector,
     solve_linear,
 )
 
@@ -340,6 +343,23 @@ def test_factor_equals_fraction_back_substitution(system):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
+@given(_right_hand_sides())
+def test_factor_int_read_equals_fraction_back_substitution(system):
+    # the read of the ints L v gives the reference's solution of M x = v
+    # as int numerators over det * L, and None where it is inconsistent
+    M, vs = system
+    fac = factor(M)
+    for v in vs:
+        nums, L = int_vector(v)
+        x, want = fac.solve_ints(nums), reference_solve_linear(M, v)
+        if want.status == INCONSISTENT:
+            assert x is None
+        else:
+            assert all(type(a) is int for a in x)
+            assert rat_vector(x, fac.det * L) == want.x
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(_symmetric())
 def test_psd_check_equals_fraction_schur_update(M):
     got, want = ldl_psd_check(M), reference_ldl_psd_check(M)
@@ -351,7 +371,7 @@ def test_psd_check_equals_fraction_schur_update(M):
 @given(_working_sets())
 def test_active_rows_equal_fraction_echelon_basis(args):
     eq_rows, G_rows, slack = args
-    got = _active_rows(RatMat(eq_rows), RatMat(G_rows), slack)
+    got = _active_rows(int_rows(eq_rows), int_rows(G_rows), slack)
     assert got == reference_active_rows(*args)
 
 

@@ -19,11 +19,15 @@ from aldual.numkit import (
     UNDERDETERMINED,
     UNIQUE,
     ceil_sqrt,
+    factor,
     format_rat,
+    int_matrix,
+    int_vector,
     kkt_matrix,
     ldl_psd_check,
     parse_rat,
     quad_form,
+    rat_vector,
     solve_linear,
     sqrt_upper,
     to_wire,
@@ -422,6 +426,44 @@ def test_solve_inconsistent():
 def test_solve_dim_mismatch():
     with pytest.raises(DimMismatchError):
         solve_linear(RatMat([[1, 1]]), RatVec([1, 2]))
+
+
+@pytest.mark.parametrize("M, v, status", [
+    ([[2, 1], [1, Fraction(1, 3)]], [1, Fraction(5, 7)], UNIQUE),
+    ([[1, 1], [2, 2]], [Fraction(1, 3), Fraction(2, 3)], UNDERDETERMINED),
+    ([[Fraction(1, 2), 1, 0]], [Fraction(3, 5)], UNDERDETERMINED),
+    ([[1, 1], [2, 2]], [1, 3], INCONSISTENT),
+])
+def test_factor_int_read_equals_solve(M, v, status):
+    # the read of the ints L v is the read of v, numerators over det * L
+    # (None when inconsistent), and it is linear in the right-hand side
+    fac, v = factor(RatMat(M)), RatVec(v)
+    rep = fac.solve(v)
+    nums, L = int_vector(v)
+    x = fac.solve_ints(nums)
+    assert rep.status == status
+    if status == INCONSISTENT:
+        assert x is None
+    else:
+        assert all(type(a) is int for a in x)
+        assert rat_vector(x, fac.det * L) == rep.x
+        assert fac.solve_ints([-3 * a for a in nums]) == [-3 * a for a in x]
+
+
+def test_factor_int_read_dim_mismatch():
+    with pytest.raises(DimMismatchError):
+        factor(RatMat([[1, 1]])).solve_ints([1, 2])
+
+
+def test_int_forms_round_trip():
+    v = RatVec([Fraction(1, 6), 0, Fraction(-3, 4), 2])
+    assert int_vector(v) == ([2, 0, -9, 24], 12)
+    assert rat_vector(*int_vector(v)) == v
+    assert all(type(a) is Fraction for a in rat_vector([0, 3], 6))
+    assert int_vector(RatVec([])) == ([], 1)
+    M = RatMat([[Fraction(1, 2), 0], [Fraction(2, 3), 1]])
+    assert int_matrix(M) == ([[3, 0], [4, 6]], 6)
+    assert int_matrix(RatMat([], cols=2)) == ([], 1)
 
 
 def test_solve_random_nonsingular():

@@ -1,22 +1,34 @@
 """``convexsolve.solve_qp`` against the active-set code it replaced.
 
-``reference_solve_qp``, ``reference_active_rows``, ``reference_ratio_test``,
-``reference_row_dot`` and ``reference_verify_kkt`` below are the earlier
-``solve_qp``, ``_active_rows``, ``_ratio_test``, ``_row_dot`` and
-``_verify_kkt``, their code kept verbatim but for the names (the
-docstrings are shortened).  The reference checks
-the objective for semidefiniteness on every call, keys its factors by the
-exact KKT matrix and walks the constraint rows by hand; ``solve_qp`` keeps
-one entry per constraint system in its mapping (the PSD verdict, then one
-factor per working set) and reads its rows through ``RatMat.matvec``.
-Both must give the identical report on every program, each number a
-Fraction (``to_wire`` would render a stray int as a JSON integer), or
-raise the same error.
+Two references are kept, their code verbatim but for the names (the
+docstrings are shortened):
+
+- ``reference_solve_qp``, ``reference_active_rows``,
+  ``reference_ratio_test``, ``reference_row_dot`` and
+  ``reference_verify_kkt`` are an earlier ``solve_qp`` and its helpers.
+  That reference checks the objective for semidefiniteness on every call,
+  keys its factors by the exact KKT matrix and walks the constraint rows
+  by hand.
+- ``fraction_solve_qp``, ``fraction_active_rows``, ``fraction_ratio_test``
+  and ``fraction_verify_kkt`` are the ``solve_qp`` and helpers the integer
+  state replaced.  That reference carries x, g and the slacks as
+  Fractions, one entry per constraint system in its mapping, one factor
+  per working set.
+
+``solve_qp`` carries x as ints over one denominator and g and the slacks
+as ints over positive scales, and keys its factors by the least index of
+each working row's identical rows.  It must give the identical report on
+every program, each number a Fraction (``to_wire`` would render a stray
+int as a JSON integer), or raise the same error.
 
 The programs are tiny and degenerate on purpose: dependent and duplicated
 rows, rows active at the start point, singular objectives whose flat
 directions give zero-curvature rays, and now and then an objective that
-is not PSD.  Each is solved cold and warm from a fresh mapping, then
+is not PSD.  A second draw puts every constraint row, the objective, the
+linear term and the start point over large, pairwise coprime
+denominators, and moves the right-hand sides off their rows' denominators,
+so each row's scale differs from the others' and from its right-hand
+side's.  Each program is solved cold and warm from a fresh mapping, then
 again with one mapping shared with a second system that has the same
 objective and shapes but other rows: a mapping whose factors were not
 kept apart per system would hand one system the other's factors.
@@ -203,6 +215,144 @@ def reference_ratio_test(G_rows: list[list[Fraction]], slack: list[Fraction],
     return blocker, alpha, gd
 
 
+def fraction_verify_kkt(Qobj, cobj, eq_lhs, eq_rhs, ineq_lhs, ineq_rhs,
+                    report: SolveReport) -> None:
+    """Exact KKT check; raises InternalInvariantError on any residual."""
+    x, y_eq, y_in = report.x, report.eq_duals, report.ineq_duals
+    grad = cobj if Qobj is None else Qobj.matvec(x) + cobj
+    resid = grad
+    if eq_lhs.rows:
+        resid = resid - eq_lhs.tmatvec(y_eq)
+    if ineq_lhs.rows:
+        resid = resid + ineq_lhs.tmatvec(y_in)
+    if not resid.is_zero():
+        raise InternalInvariantError("stationarity residual nonzero")
+    if eq_lhs.rows and eq_lhs.matvec(x) != eq_rhs:
+        raise InternalInvariantError("equality constraints violated")
+    if not ineq_lhs.rows:
+        return
+    for slack, y in zip(ineq_rhs - ineq_lhs.matvec(x), y_in):
+        if slack < 0:
+            raise InternalInvariantError("inequality constraints violated")
+        if y < 0:
+            raise InternalInvariantError("negative inequality multiplier")
+        if y * slack != 0:
+            raise InternalInvariantError("complementary slackness violated")
+
+
+def fraction_solve_qp(qp: QuadraticProgram, x0: RatVec | None = None,
+                  factors: dict | None = None) -> SolveReport:
+    """Primal active-set method in exact arithmetic."""
+    n = len(qp.cobj)
+    if factors is None:
+        factors = {}
+    system = (qp.Qobj, qp.eq_lhs, qp.ineq_lhs)
+    table = factors.get(system)
+    if table is None:
+        psd = ldl_psd_check(qp.Qobj)
+        if not psd.is_psd:
+            raise NotPsdError("objective matrix is not PSD", witness=psd.witness)
+        table = factors[system] = {}
+
+    if x0 is None:
+        feas = solve_lp(LinearProgram(RatVec.zeros(n), qp.eq_lhs, qp.eq_rhs,
+                                      qp.ineq_lhs, qp.ineq_rhs))
+        if feas.status == INFEASIBLE:
+            return SolveReport(status=INFEASIBLE)
+        x = feas.x
+    else:
+        if len(x0) != n:
+            raise DimMismatchError(f"start point of length {len(x0)} vs "
+                                   f"{n} variables")
+        if qp.eq_lhs.rows and qp.eq_lhs.matvec(x0) != qp.eq_rhs:
+            raise InternalInvariantError("start point violates an equality row")
+        x = x0
+
+    G = qp.ineq_lhs
+    m_eq, m_in = qp.eq_lhs.rows, G.rows
+    slack = list(qp.ineq_rhs - G.matvec(x))
+    if any(si < 0 for si in slack):
+        raise InternalInvariantError("start point violates an inequality row")
+    working = [] if x0 is None else fraction_active_rows(qp.eq_lhs, G, slack)
+
+    max_iters = 500 + 30 * (n + m_in + m_eq) ** 2
+    for _ in range(max_iters):
+        g = qp.Qobj.matvec(x) + qp.cobj
+        fac = table.get(tuple(working))
+        if fac is None:
+            C = RatMat.vstack([qp.eq_lhs, G.submatrix(working, range(n))], cols=n)
+            fac = table[tuple(working)] = factor(kkt_matrix(qp.Qobj, C))
+        sol = fac.solve(RatVec(list(-g) + [_ZERO] * (m_eq + len(working))))
+        if sol.status == INCONSISTENT:
+            d = next((z[:n] for z in fac.kernel if g.dot(z[:n]) != 0), None)
+            if d is None:
+                raise InternalInvariantError(
+                    "inconsistent KKT system without a kernel witness")
+            if g.dot(d) > 0:
+                d = -d
+            if not qp.Qobj.matvec(d).is_zero():
+                raise InternalInvariantError("recession direction has curvature")
+            cap = None
+        else:
+            d, cap = sol.x[:n], _ONE
+
+        if not d.is_zero():
+            gd = G.matvec(d)
+            blocker, alpha = fraction_ratio_test(slack, gd, cap)
+            if blocker is None and cap is None:
+                report = SolveReport(status=UNBOUNDED, x=x, ray=d)
+                _verify_ray(qp.cobj, qp.eq_lhs, qp.ineq_lhs, d, qp.Qobj)
+                return report
+            x = x + d.scale(alpha)
+            if alpha:
+                slack = [si - alpha * gdi if gdi else si for si, gdi in zip(slack, gd)]
+            if blocker is not None:
+                working = sorted(working + [blocker])
+            continue
+
+        # d = 0: candidate optimum on the current active manifold
+        y_work = sol.x[n + m_eq:]
+        neg = next((wi for wi, y in enumerate(y_work) if y < 0), None)
+        if neg is not None:
+            working.pop(neg)
+            continue
+
+        ineq_duals = [_ZERO] * m_in
+        for i, val in zip(working, y_work):
+            ineq_duals[i] = val
+        value = quad_form(qp.Qobj, x) / 2 + qp.cobj.dot(x)
+        report = SolveReport(OPTIMAL, value, x, -sol.x[n:n + m_eq],
+                             RatVec(ineq_duals), None)
+        fraction_verify_kkt(qp.Qobj, qp.cobj, qp.eq_lhs, qp.eq_rhs, qp.ineq_lhs,
+                        qp.ineq_rhs, report)
+        return report
+    raise InternalInvariantError("active-set iteration cap exceeded")
+
+
+def fraction_active_rows(eq_lhs: RatMat, ineq_lhs: RatMat,
+                     slack: list[Fraction]) -> list[int]:
+    """The inequality rows at zero slack, kept while linearly independent."""
+    active = [i for i, si in enumerate(slack) if si == 0]
+    if not active:
+        return []
+    m_eq = eq_lhs.rows
+    cands = int_rows([eq_lhs.row(i) for i in range(m_eq)]
+                     + [ineq_lhs.row(i) for i in active])
+    T = [list(col) for col in zip(*cands)]
+    return [active[k - m_eq] for k in echelon(T, len(cands))[1] if k >= m_eq]
+
+
+def fraction_ratio_test(slack: list[Fraction], gd: RatVec, cap: Fraction | None):
+    """Largest feasible step along d, capped; smallest blocking row wins ties."""
+    blocker, alpha = None, cap
+    for i, gdi in enumerate(gd):
+        if gdi > 0:
+            ratio = slack[i] / gdi
+            if alpha is None or ratio < alpha:
+                alpha, blocker = ratio, i
+    return blocker, alpha
+
+
 # zero-heavy entries with small denominators
 _entries = st.one_of(st.just(0), st.just(0), st.integers(-2, 2),
                      st.fractions(-2, 2, max_denominator=4))
@@ -286,13 +436,64 @@ def _all_fractions(outcome) -> bool:
         type(e) is Fraction for v in vectors if v is not None for e in v)
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
-@given(_program_pairs())
-def test_solve_qp_equals_the_reference(pairs):
-    # every (program, start) is solved from a fresh mapping, then all of
-    # them in turn from one mapping the two systems share
+# large primes: each denominator a coprime draw puts on a row, the
+# objective, the linear term, a start point or a slack is one of these
+_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117,
+           1000121, 1000133, 1000151, 1000159, 1000171, 1000183, 1000187,
+           1000193, 1000199, 1000211, 1000213, 1000231, 1000249, 1000253,
+           1000273, 1000289, 1000291)
+
+
+@st.composite
+def _coprime_program_pairs(draw):
+    """Two programs drawn as ``_program_pairs`` draws them, over large,
+    pairwise coprime denominators: row i of each system times 1/p_i, and
+    Q, each c and each start point over a prime of their own.  Each
+    inequality's slack at the start point is a multiple of 1/q, q another
+    prime, so no right-hand side has its row's denominator."""
+    n = draw(st.integers(1, 4))
+    m_eq, m_in = draw(st.integers(0, 2)), draw(st.integers(0, 5))
+    primes = iter(draw(st.permutations(_PRIMES)))
+    Q = draw(_objectives(n)).scale(Fraction(1, next(primes)))
+    pairs = []
+    for _ in range(2):
+        rows = [[a / p for a in row]
+                for row, p in zip(draw(_rows(m_eq + m_in, n)), primes)]
+        px, pc, q = next(primes), next(primes), next(primes)
+        x0 = RatVec(Fraction(a) / px
+                    for a in draw(st.lists(_entries, min_size=n, max_size=n)))
+        cobj = RatVec(Fraction(a) / pc
+                      for a in draw(st.lists(_entries, min_size=n, max_size=n)))
+        slack = draw(st.lists(st.sampled_from((0, 0, 1, Fraction(1, 2))),
+                              min_size=m_in, max_size=m_in))
+        eq, G = RatMat(rows[:m_eq], cols=n), RatMat(rows[m_eq:], cols=n)
+        G_rhs = G.matvec(x0) + RatVec(Fraction(si) / q for si in slack)
+        pairs.append((QuadraticProgram(Q, cobj, eq, eq.matvec(x0), G, G_rhs), x0))
+    return pairs
+
+
+def _outcome(solve, qp, x0, factors):
+    """The report, or the error raised (type, message and PSD witness)."""
+    try:
+        return solve(qp, x0, factors)
+    except (NotPsdError, InternalInvariantError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def _all_fractions(outcome) -> bool:
+    if not isinstance(outcome, SolveReport):
+        return True
+    vectors = (outcome.x, outcome.eq_duals, outcome.ineq_duals, outcome.ray)
+    return (outcome.value is None or type(outcome.value) is Fraction) and all(
+        type(e) is Fraction for v in vectors if v is not None for e in v)
+
+
+def _check_against(reference, pairs):
+    """Every (program, start) of the pairs is solved from a fresh mapping,
+    then all of them in turn from one mapping the two systems share, and
+    each outcome must be the reference's; returns the outcomes."""
     runs = [(qp, start) for qp, x0 in pairs for start in (x0, None)]
-    want = [_outcome(reference_solve_qp, qp, start, None) for qp, start in runs]
+    want = [_outcome(reference, qp, start, None) for qp, start in runs]
     for (qp, start), expected in zip(runs, want):
         got = _outcome(solve_qp, qp, start, {})
         assert got == expected
@@ -300,3 +501,54 @@ def test_solve_qp_equals_the_reference(pairs):
     shared: dict = {}
     for (qp, start), expected in zip(runs + runs, want + want):
         assert _outcome(solve_qp, qp, start, shared) == expected
+    return want
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_program_pairs())
+def test_solve_qp_equals_the_reference(pairs):
+    _check_against(reference_solve_qp, pairs)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(_program_pairs(), _coprime_program_pairs()))
+def test_solve_qp_equals_the_fraction_state_reference(pairs):
+    _check_against(fraction_solve_qp, pairs)
+
+
+def _coprime_degenerate_qp():
+    """min 1/2 |x - (0, 1/2, 1)|^2 on the simplex x1 + x2 + x3 = 1, its
+    equality row given twice, under dependent and duplicated inequality
+    rows, each row and its right-hand side over a large prime of its own:
+    the starts (1, 0, 0) and (0, 1, 0) have active rows that depend on the
+    equality rows and on each other."""
+    p = iter(_PRIMES)
+
+    def rows(M, h):
+        ps = [next(p) for _ in M]
+        return (RatMat([[Fraction(a, s) for a in row] for s, row in zip(ps, M)]),
+                RatVec(Fraction(hi, s) for s, hi in zip(ps, h)))
+
+    eq, eq_rhs = rows([[1, 1, 1], [2, 2, 2]], [1, 2])
+    G, G_rhs = rows([[-1, 0, 0], [0, -1, 0], [0, -1, 0], [0, 0, -1], [0, 1, 1],
+                     [-1, -1, -1], [1, 0, 0], [0, -2, 0]], [0, 0, 0, 0, 1, -1, 1, 0])
+    return QuadraticProgram(RatMat.identity(3).scale(Fraction(1, next(p))),
+                            RatVec([0, Fraction(-1, 2 * next(p)), Fraction(-1, next(p))]),
+                            eq, eq_rhs, G, G_rhs)
+
+
+def test_named_programs_equal_the_fraction_state_reference():
+    # a degenerate warm start, a zero-curvature ray and a non-PSD objective,
+    # over large coprime denominators: each outcome kind is reached
+    degenerate = _coprime_degenerate_qp()
+    ray = QuadraticProgram(RatMat([[0]]), RatVec([Fraction(-1, _PRIMES[0])]),
+                           RatMat([], cols=1), RatVec([]),
+                           RatMat([[Fraction(-1, _PRIMES[1])]]), RatVec([0]))
+    not_psd = QuadraticProgram(RatMat([[Fraction(-1, _PRIMES[2])]]), RatVec([0]),
+                               RatMat([], cols=1), RatVec([]), RatMat([], cols=1),
+                               RatVec([]))
+    outcomes = _check_against(fraction_solve_qp, [
+        (degenerate, RatVec([1, 0, 0])), (degenerate, RatVec([0, 1, 0])),
+        (ray, RatVec([0])), (not_psd, RatVec([0]))])
+    kinds = [o.status if isinstance(o, SolveReport) else o[0] for o in outcomes]
+    assert kinds == [OPTIMAL] * 4 + [UNBOUNDED] * 2 + [NotPsdError] * 2
