@@ -16,10 +16,10 @@ first of least minimum, from which ``solve_ip`` and ``SliceFamily.relax``
 (``eval_lr_plus``) build their reports; ``exactrho``'s certificate routes
 walk ``rows`` slice by slice.  Every route gets its slicers from one
 ``SliceFamily`` per call, which checks the arguments once, builds each
-weight's slicer once and holds the call's KKT factors, one entry per
-constraint system, shared by every slice QP of every weight and dropped
-with the call.  An empty slice takes no solve, and QP slices start at
-the table's point.
+weight's slicer once and holds the call's KKT factors and the KKT
+check's int forms, one of each per constraint system, shared by every
+slice QP of every weight and dropped with the call.  An empty slice takes
+no solve, and QP slices start at the table's point.
 
 On a pure-integer instance a point's value f2 + lam.r2 + rho psi(r2)
 depends on the point only through f2 and its residual r2, so points of

@@ -37,8 +37,16 @@ denominator, g = Q x + c and each slack an int over a positive scale, and
 the KKT right-hand side goes to the factor as ints.  The scales are
 positive, so every sign and every order of the ratio test is that of the
 same method on Fractions, and so are the steps and the reports; Fractions
-are built only for the report, and the KKT check of the result recomputes
-everything from the program.
+are built only for the report.
+
+The KKT check of every OPTIMAL report runs on ints as well, but it scales
+the program itself: it puts the program's own matrices over their common
+denominators (``_KktForm``) and never reads the solver's integer system or
+tableau, so a scaling fault in a solver cannot hide from it.  ``solve_qp``
+keeps that form once per constraint system in the caller's mapping, as a
+value of its own beside the solver's entry; ``solve_lp`` builds it per
+call.  The check of an UNBOUNDED report's ray stays in Fractions, since
+rays are rare.
 """
 
 from __future__ import annotations
@@ -53,7 +61,6 @@ from .errors import (
     NotPsdError,
 )
 from .numkit import (
-    INCONSISTENT,
     RatMat,
     RatVec,
     ceil_rat,
@@ -198,8 +205,9 @@ def solve_lp(lp: LinearProgram) -> SolveReport:
     tableau.  Only the slack columns and the objective need their scale
     undone: the ray along a slack column is multiplied back by L, and the
     duals are ``L * (c_B . T[:, art]) / (det * Lc)``.  Every number
-    returned is a Fraction.  An OPTIMAL report is KKT-checked and an UNBOUNDED one's ray
-    verified, both in Fractions from the program, not from the tableau.
+    returned is a Fraction.  An OPTIMAL report is KKT-checked on ints that
+    :func:`_verify_kkt` scales from the program itself, and an UNBOUNDED
+    one's ray is verified in Fractions; neither check reads the tableau.
     """
     n = len(lp.objective)
     m_eq, m_in = lp.eq_lhs.rows, lp.ineq_lhs.rows
@@ -332,28 +340,86 @@ def solve_lp(lp: LinearProgram) -> SolveReport:
 
 
 def _verify_kkt(Qobj, cobj, eq_lhs, eq_rhs, ineq_lhs, ineq_rhs,
-                report: SolveReport) -> None:
-    """Exact KKT check; raises InternalInvariantError on any residual."""
-    x, y_eq, y_in = report.x, report.eq_duals, report.ineq_duals
-    grad = cobj if Qobj is None else Qobj.matvec(x) + cobj
-    resid = grad
-    if eq_lhs.rows:
-        resid = resid - eq_lhs.tmatvec(y_eq)
-    if ineq_lhs.rows:
-        resid = resid + ineq_lhs.tmatvec(y_in)
-    if not resid.is_zero():
+                report: SolveReport, form: _KktForm | None = None) -> None:
+    """Exact KKT check on ints; raises InternalInvariantError on any residual.
+
+    ``form`` is the system's :class:`_KktForm`, built here from the
+    program's matrices when not given.  x is ``X / Dx``, the duals are
+    ``Ye / De`` and ``Yi / Di``, and c is ``C / Dc`` (``numkit.int_vector``),
+    so the stationarity residual ``Q x + c - E^T y_eq + G^T y_ineq``, times
+    ``M = lcm(LQ Dx, Dc, LE De, LG Di)``, is an int vector: zero is its
+    only test.  Equality row i holds when ``Db E_i X = LE Dx b_i``, and
+    inequality row i's slack ``h_i - G_i x`` times the positive ``LG Dx Dh``
+    is the int ``LG Dx h_i - Dh G_i X``.  The conditions are checked, and
+    their messages raised, in the order of the same check on Fractions; a
+    report whose vectors do not fit the program is rejected first.
+    """
+    if form is None:
+        form = _KktForm(Qobj, eq_lhs, ineq_lhs)
+    if (len(report.x), len(report.eq_duals), len(report.ineq_duals)) != (
+            len(cobj), len(form.E), len(form.G)):
+        raise InternalInvariantError("report does not fit the program")
+    X, Dx = int_vector(report.x)
+    C, Dc = int_vector(cobj)
+    Ye, De = int_vector(report.eq_duals)
+    Yi, Di = int_vector(report.ineq_duals)
+    M = lcm(Dc, form.LE * De, form.LG * Di)
+    if form.Q is not None:
+        M = lcm(M, form.LQ * Dx)
+    k = M // Dc
+    resid = [k * c for c in C]
+    if form.Q is not None:
+        k = M // (form.LQ * Dx)
+        for j, row in enumerate(form.Q):
+            resid[j] += k * _dot(row, X)
+    for Y, rows, k in ((Ye, form.E, -(M // (form.LE * De))),
+                       (Yi, form.G, M // (form.LG * Di))):
+        for y, row in zip(Y, rows):
+            if y:
+                y *= k
+                for j, a in row:
+                    resid[j] += y * a
+    if any(resid):
         raise InternalInvariantError("stationarity residual nonzero")
-    if eq_lhs.rows and eq_lhs.matvec(x) != eq_rhs:
+    B, Db = int_vector(eq_rhs)
+    k = form.LE * Dx
+    if any(Db * _dot(row, X) != k * b for row, b in zip(form.E, B)):
         raise InternalInvariantError("equality constraints violated")
-    if not ineq_lhs.rows:
-        return
-    for slack, y in zip(ineq_rhs - ineq_lhs.matvec(x), y_in):
+    H, Dh = int_vector(ineq_rhs)
+    k = form.LG * Dx
+    for row, h, y in zip(form.G, H, Yi):
+        slack = k * h - Dh * _dot(row, X)
         if slack < 0:
             raise InternalInvariantError("inequality constraints violated")
         if y < 0:
             raise InternalInvariantError("negative inequality multiplier")
-        if y * slack != 0:
+        if y and slack:
             raise InternalInvariantError("complementary slackness violated")
+
+
+class _KktForm:
+    """The matrices of one program's constraint system over ints, for
+    :func:`_verify_kkt`.
+
+    Each of Qobj, eq_lhs and ineq_lhs is put over one common denominator of
+    its own (``numkit.int_matrix``: ``LQ``, ``LE``, ``LG``) and kept as the
+    nonzero entries of its rows; an LP (Qobj None) has no ``Q``.  The form
+    is built from the program's Fractions alone, never from the solver's
+    integer system, so a scaling fault in the solver cannot hide from the
+    check.
+    """
+
+    __slots__ = ("Q", "LQ", "E", "LE", "G", "LG")
+
+    def __init__(self, Qobj: RatMat | None, eq_lhs: RatMat, ineq_lhs: RatMat):
+        self.Q, self.LQ = None, 1
+        if Qobj is not None:
+            Q, self.LQ = int_matrix(Qobj)
+            self.Q = [_terms(row) for row in Q]
+        E, self.LE = int_matrix(eq_lhs)
+        self.E = [_terms(row) for row in E]
+        G, self.LG = int_matrix(ineq_lhs)
+        self.G = [_terms(row) for row in G]
 
 
 def _verify_ray(cobj, eq_lhs, ineq_lhs, ray: RatVec, Qobj=None) -> None:
@@ -452,8 +518,14 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None,
     multiplier or a slack) is the sign of its int, and the ratio test and
     the cap ``alpha = 1`` compare their candidates by cross-multiplying:
     the working-set sequence, and so every report, is that of the same
-    method on Fractions.  Fractions are built only for the report; its KKT
-    check, and a ray's, recompute everything from the program in Fractions.
+    method on Fractions.  Fractions are built only for the report.
+
+    An OPTIMAL report is KKT-checked on ints by :func:`_verify_kkt`, from
+    the system's :class:`_KktForm`: the program's own matrices over their
+    common denominators, built on the first OPTIMAL report of the system
+    and kept in ``factors`` under ``("kkt", key)``, a value apart from the
+    solver's entry that is made from ``qp``'s Fractions, never from the
+    entry's int rows or scales.  A ray is checked in Fractions.
     """
     n = len(qp.cobj)
     if factors is None:
@@ -555,8 +627,11 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None,
         report = SolveReport(OPTIMAL, value, rat_vector(X, D),
                              rat_vector([-a for a in sol[n:n + m_eq]], scale),
                              rat_vector(ineq_duals, scale), None)
+        form = factors.get(("kkt", key))
+        if form is None:
+            form = factors["kkt", key] = _KktForm(*key)
         _verify_kkt(qp.Qobj, qp.cobj, qp.eq_lhs, qp.eq_rhs, qp.ineq_lhs,
-                    qp.ineq_rhs, report)
+                    qp.ineq_rhs, report, form)
         return report
     raise InternalInvariantError("active-set iteration cap exceeded")
 

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -178,13 +179,17 @@ def test_qp_not_psd_leaves_no_entry(monkeypatch):
 def test_one_psd_check_per_system_per_sweep(monkeypatch):
     # an l1 sweep over four weights: the slice programs of every weight
     # share one constraint system, whose objective is checked once for
-    # the sweep's 100 slice QPs
+    # the sweep's 100 slice QPs, and whose int form for the KKT check is
+    # built once, on the first OPTIMAL report
     inst = grid_25()
     for fact in (ald._slices, solve_ip, lambda_bar):
         fact(inst)
-    checks, systems, solves = [], set(), []
+    checks, systems, solves, forms = [], set(), [], []
+    kkt_form = convexsolve._KktForm
     monkeypatch.setattr(convexsolve, "ldl_psd_check",
                         lambda M: checks.append(M) or ldl_psd_check(M))
+    monkeypatch.setattr(convexsolve, "_KktForm",
+                        lambda *system: forms.append(system) or kkt_form(*system))
 
     def solving(qp, x0=None, factors=None):
         solves.append(qp)
@@ -193,7 +198,46 @@ def test_one_psd_check_per_system_per_sweep(monkeypatch):
 
     monkeypatch.setattr(ald, "solve_qp", solving)
     gap_sweep(inst, Penalty(L1, inst.m), [1, 2, 4, 8])
-    assert (len(solves), len(systems), len(checks)) == (100, 1, 1)
+    assert (len(solves), len(systems), len(checks), len(forms)) == (100, 1, 1, 1)
+    assert set(forms) == systems
+
+
+def test_two_systems_of_one_shape_get_two_forms(monkeypatch):
+    # one shared mapping, two systems of equal shapes but other rows, each
+    # solved twice from a start (no phase-1 LP): each system gets one form,
+    # kept beside its own entry, and each form holds its own system's rows
+    forms = []
+    kkt_form = convexsolve._KktForm
+    monkeypatch.setattr(convexsolve, "_KktForm",
+                        lambda *system: forms.append(system) or kkt_form(*system))
+    first = _simplex_qp()
+    second = QuadraticProgram(first.Qobj, first.cobj, RatMat([[1, 2]]), RatVec([1]),
+                              RatMat([[Fraction(1, 3), 0], [0, -1]]),
+                              RatVec([Fraction(1, 4), 0]))
+    starts = {first: RatVec([Fraction(3, 4), Fraction(1, 4)]),
+              second: RatVec([Fraction(3, 4), Fraction(1, 8)])}
+    factors: dict = {}
+    reports = [solve_qp(qp, starts[qp], factors) for qp in (first, second, first, second)]
+    assert [rep.status for rep in reports] == [OPTIMAL] * 4
+    keys = [(qp.Qobj, qp.eq_lhs, qp.ineq_lhs) for qp in (first, second)]
+    assert forms == keys
+    assert set(factors) == set(keys) | {("kkt", key) for key in keys}
+    assert [(factors["kkt", key].G, factors["kkt", key].LG) for key in keys] == [
+        ([((0, 1),), ((1, -1),)], 1), ([((0, 1),), ((1, -3),)], 3)]
+
+
+def test_kkt_check_rejects_a_report_that_does_not_fit():
+    # a report short of one inequality dual, or one entry of x, is refused
+    # outright: no row of the program goes unchecked
+    qp = _simplex_qp()
+    rep = solve_qp(qp)
+    args = (qp.Qobj, qp.cobj, qp.eq_lhs, qp.eq_rhs, qp.ineq_lhs, qp.ineq_rhs)
+    convexsolve._verify_kkt(*args, rep)
+    for short in (replace(rep, ineq_duals=RatVec(list(rep.ineq_duals)[:-1])),
+                  replace(rep, x=RatVec(list(rep.x)[:-1]))):
+        with pytest.raises(InternalInvariantError,
+                           match="^report does not fit the program$"):
+            convexsolve._verify_kkt(*args, short)
 
 
 def test_qp_infeasible():

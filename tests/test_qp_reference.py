@@ -32,10 +32,21 @@ side's.  Each program is solved cold and warm from a fresh mapping, then
 again with one mapping shared with a second system that has the same
 objective and shapes but other rows: a mapping whose factors were not
 kept apart per system would hand one system the other's factors.
+
+``fraction_verify_kkt`` is also the reference of ``convexsolve._verify_kkt``,
+which checks the same conditions on ints scaled from the program.  Both
+must pass every OPTIMAL report of a QP and of an LP (Qobj None), and both
+must raise the same message on a mutated one: an entry of x, an equality
+dual, an inequality dual made negative, a slack made negative and a
+complementary pair made nonzero on named programs over coprime
+denominators, and one entry of the report, the linear term or a
+right-hand side moved on drawn programs.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from aldual.convexsolve import (
@@ -45,6 +56,7 @@ from aldual.convexsolve import (
     LinearProgram,
     QuadraticProgram,
     SolveReport,
+    _verify_kkt,
     _verify_ray,
     solve_lp,
     solve_qp,
@@ -472,22 +484,6 @@ def _coprime_program_pairs(draw):
     return pairs
 
 
-def _outcome(solve, qp, x0, factors):
-    """The report, or the error raised (type, message and PSD witness)."""
-    try:
-        return solve(qp, x0, factors)
-    except (NotPsdError, InternalInvariantError) as exc:
-        return type(exc), str(exc), getattr(exc, "witness", None)
-
-
-def _all_fractions(outcome) -> bool:
-    if not isinstance(outcome, SolveReport):
-        return True
-    vectors = (outcome.x, outcome.eq_duals, outcome.ineq_duals, outcome.ray)
-    return (outcome.value is None or type(outcome.value) is Fraction) and all(
-        type(e) is Fraction for v in vectors if v is not None for e in v)
-
-
 def _check_against(reference, pairs):
     """Every (program, start) of the pairs is solved from a fresh mapping,
     then all of them in turn from one mapping the two systems share, and
@@ -552,3 +548,133 @@ def test_named_programs_equal_the_fraction_state_reference():
         (ray, RatVec([0])), (not_psd, RatVec([0]))])
     kinds = [o.status if isinstance(o, SolveReport) else o[0] for o in outcomes]
     assert kinds == [OPTIMAL] * 4 + [UNBOUNDED] * 2 + [NotPsdError] * 2
+
+
+# ------------------------------------------------------------ the KKT check
+
+def _raised(verify, args, report):
+    """The message of the InternalInvariantError that ``verify`` raises on
+    the program ``args`` and ``report``, or None when it passes them."""
+    try:
+        verify(*args, report)
+    except InternalInvariantError as exc:
+        return str(exc)
+    return None
+
+
+def _kkt_case(kind):
+    """A QP, or an LP (Qobj None), as the arguments of a KKT check, with its
+    OPTIMAL report.  Every matrix row, the objective and each right-hand
+    side sit over a large prime of their own.  Inequality rows 0 and 1 are
+    positive multiples of each other, right-hand sides included, active at
+    the optimum with a nonzero right-hand side, and one of them has a
+    positive multiplier; at least one other row is inactive."""
+    p = iter(_PRIMES)
+
+    def row(entries):
+        q = next(p)
+        return [Fraction(a, q) for a in entries]
+
+    eq, eq_rhs = RatMat([row([1, 1, 1])]), RatVec([Fraction(1, next(p))])
+    pair = [row([-1, 0, 0]), row([-2, 0, 0])]
+    h_pair = Fraction(-1, 4 * next(p))  # row 0 reads x1 >= about 1/4
+    a = pair[0][0] / pair[1][0]
+    if kind == "qp":
+        Qobj = RatMat.identity(3).scale(Fraction(1, next(p)))
+        cobj = RatVec(row([1, -1, -1]))
+        G = RatMat(pair + [row([0, 0, 1]), row([0, -1, 0])])
+        h = RatVec([h_pair, h_pair / a, Fraction(5, next(p)), Fraction(1, next(p))])
+        report = solve_qp(QuadraticProgram(Qobj, cobj, eq, eq_rhs, G, h))
+    else:
+        Qobj, cobj = None, RatVec(row([3, 1, 2]))
+        G = RatMat(pair + [row([0, -1, 0]), row([0, 0, -1]), row([0, 1, 0])])
+        h = RatVec([h_pair, h_pair / a, 0, 0, Fraction(5, next(p))])
+        report = solve_lp(LinearProgram(cobj, eq, eq_rhs, G, h))
+    return (Qobj, cobj, eq, eq_rhs, G, h), report
+
+
+def _mutations(args, report):
+    """The five mutations of the correct report of a ``_kkt_case``, each as
+    (what is mutated, the arguments, the report, the message it must
+    raise): an entry of x, an equality dual, an inequality dual made
+    negative (the multiplier of row 1 moved onto row 0, its positive
+    multiple, past zero, so stationarity still holds), a slack made
+    negative and a complementary pair made nonzero (a right-hand side
+    moved)."""
+    Qobj, G, h = args[0], args[4], args[5]
+    x, y_eq, y_in = (list(v) for v in (report.x, report.eq_duals, report.ineq_duals))
+    nudge = Fraction(1, _PRIMES[-1])
+
+    def moved(v, i, by):
+        v = list(v)
+        v[i] += by
+        return RatVec(v)
+
+    a = next(g0 / g1 for g0, g1 in zip(G.row(0), G.row(1)) if g1)  # G_0 = a G_1
+    slack = h - G.matvec(report.x)
+    positive = next(i for i, y in enumerate(y_in) if y > 0)
+    inactive = next(i for i, si in enumerate(slack) if si > 0)
+    return [
+        ("x", args, replace(report, x=moved(x, 0, nudge)),
+         "stationarity residual nonzero" if Qobj is not None
+         else "equality constraints violated"),
+        ("equality dual", args, replace(report, eq_duals=moved(y_eq, 0, nudge)),
+         "stationarity residual nonzero"),
+        ("inequality dual", args,
+         replace(report, ineq_duals=RatVec([y_in[0] + (y_in[1] + 1) / a, -1, *y_in[2:]])),
+         "negative inequality multiplier"),
+        ("slack", (*args[:5], moved(h, inactive, -slack[inactive] - nudge)), report,
+         "inequality constraints violated"),
+        ("complementary pair", (*args[:5], moved(h, positive, nudge)), report,
+         "complementary slackness violated"),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["qp", "lp"])
+def test_both_kkt_checks_reject_each_mutation(kind):
+    # the integer check and the Fraction check it replaced pass the solver's
+    # report, and each mutation of it makes both raise the same message
+    args, report = _kkt_case(kind)
+    G, h = args[4], args[5]
+    assert report.status == OPTIMAL
+    assert list(h - G.matvec(report.x))[:2] == [0, 0]
+    assert [_raised(v, args, report) for v in (_verify_kkt, fraction_verify_kkt)] \
+        == [None, None]
+    for what, margs, mreport, message in _mutations(args, report):
+        got = [_raised(v, margs, mreport) for v in (_verify_kkt, fraction_verify_kkt)]
+        assert got == [message, message], what
+
+
+_NUDGES = st.sampled_from((1, -1, Fraction(1, 2), Fraction(-1, 3),
+                           Fraction(1, _PRIMES[-1])))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(_program_pairs(), _coprime_program_pairs()), st.data())
+def test_kkt_checks_agree_on_mutated_reports(pairs, data):
+    # each OPTIMAL report of a drawn QP, and of the LP on its rows, passes
+    # both checks; one entry of the report or of a right-hand side or the
+    # linear term, moved, makes both raise the same message or neither
+    qp, x0 = pairs[0]
+    lp = LinearProgram(qp.cobj, qp.eq_lhs, qp.eq_rhs, qp.ineq_lhs, qp.ineq_rhs)
+    for Qobj in (qp.Qobj, None):
+        try:
+            report = solve_lp(lp) if Qobj is None else solve_qp(qp, x0)
+        except NotPsdError:
+            continue
+        if report.status != OPTIMAL:
+            continue
+        args = [Qobj, qp.cobj, qp.eq_lhs, qp.eq_rhs, qp.ineq_lhs, qp.ineq_rhs]
+        assert [_raised(v, args, report) for v in (_verify_kkt, fraction_verify_kkt)] \
+            == [None, None]
+        entries = {"x": report.x, "eq_duals": report.eq_duals,
+                   "ineq_duals": report.ineq_duals, 1: qp.cobj, 3: qp.eq_rhs,
+                   5: qp.ineq_rhs}
+        target = data.draw(st.sampled_from([k for k, v in entries.items() if len(v)]))
+        v = list(entries[target])
+        v[data.draw(st.integers(0, len(v) - 1))] += data.draw(_NUDGES)
+        if isinstance(target, str):
+            report = replace(report, **{target: RatVec(v)})
+        else:
+            args[target] = RatVec(v)
+        assert _raised(_verify_kkt, args, report) == _raised(fraction_verify_kkt, args, report)

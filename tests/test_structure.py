@@ -22,6 +22,13 @@ call's weights, so no module can build a slicer outside a family, not
 even through ``partial(SliceSolver, ...)``.  ``cli.main`` catches only
 the error categories of ``aldual.errors`` and, last, ``Exception``: an
 error's exit code comes from its base class, never from a list of names.
+``convexsolve``'s KKT check, ``_verify_kkt`` and the int form
+``_KktForm`` it reads, names no part of the QP solver's integer system
+(``_System``, its ``scales``, ``first``, ``G_terms`` or ``table``): it
+scales the program itself, so a scaling fault in the solver cannot hide
+from it.  Nor does ``convexsolve`` keep a module-level dict or cache, of
+int forms or anything else: a form lives in the caller's mapping and
+goes with it.
 """
 
 import ast
@@ -146,3 +153,81 @@ def test_cli_main_catches_the_error_categories_only():
               if isinstance(node, ast.Try) for handler in node.handlers]
     assert caught == ["UsageError", "(InputError, OSError)", "AssumptionError",
                       "InfeasibleError", "Exception"]
+
+
+_SOLVER_STATE = {"_System", "scales", "first", "G_terms", "table"}
+
+
+def _named(node):
+    """The identifier a Name, an Attribute or a string constant names."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _solver_state_reads(tree):
+    """Where ``tree`` names the QP solver's integer system or a part of it."""
+    return [f"{_named(node)} (line {node.lineno})" for node in ast.walk(tree)
+            if _named(node) in _SOLVER_STATE]
+
+
+def test_solver_state_rule_covers_names_attributes_and_getattr():
+    tree = ast.parse("def _verify_kkt(qp):\n"
+                     "    system = _System(qp)\n"
+                     "    return system.scales, system.table, getattr(system, 'first')\n")
+    assert len(_solver_state_reads(tree)) == 4
+
+
+def test_kkt_check_reads_no_solver_state():
+    tree = _tree(next(p for p in MODULES if p.stem == "convexsolve"))
+    checks = {node.name: node for node in tree.body
+              if getattr(node, "name", None) in ("_verify_kkt", "_KktForm")}
+    assert sorted(checks) == ["_KktForm", "_verify_kkt"]
+    assert [read for node in checks.values() for read in _solver_state_reads(node)] == []
+
+
+_MAPPINGS = {"dict", "defaultdict", "OrderedDict", "WeakKeyDictionary",
+             "WeakValueDictionary", "ChainMap", "Counter"}
+_CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _module_caches(tree):
+    """Module- and class-level mappings, cached functions and ``global``
+    statements in ``tree``."""
+    found = []
+    scopes = [tree.body] + [node.body for node in tree.body
+                            if isinstance(node, ast.ClassDef)]
+    for stmt in (stmt for body in scopes for stmt in body):
+        value = getattr(stmt, "value", None)
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and (
+                isinstance(value, (ast.Dict, ast.DictComp))
+                or isinstance(value, ast.Call) and _named(value.func) in _MAPPINGS):
+            found.append(f"mapping (line {stmt.lineno})")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append(f"global (line {node.lineno})")
+        for dec in getattr(node, "decorator_list", ()):
+            if _named(dec.func if isinstance(dec, ast.Call) else dec) in _CACHES:
+                found.append(f"cache (line {node.lineno})")
+    return found
+
+
+def test_module_cache_rule_covers_mappings_caches_and_globals():
+    tree = ast.parse("_FORMS = {}\n"
+                     "_MORE: dict = dict()\n"
+                     "class Keep:\n"
+                     "    seen = defaultdict(list)\n"
+                     "@functools.lru_cache(None)\n"
+                     "def form(M):\n"
+                     "    global _FORMS\n"
+                     "@cache\n"
+                     "def other(M): ...\n")
+    assert len(_module_caches(tree)) == 6
+
+
+def test_convexsolve_keeps_no_module_cache():
+    assert _module_caches(_tree(next(p for p in MODULES if p.stem == "convexsolve"))) == []
