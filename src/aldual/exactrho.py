@@ -238,10 +238,17 @@ def _dual_probe(inst: MiqpInstance, blocks: tuple, slicer, row,
 def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
     """Max-norm weight from per-assignment dual constructions.
 
-    For each integer assignment with a nonempty slice, the smallest weight
-    (within interval width 1, by bisection over rho >= 1) whose dual
-    subproblem value reaches the integer optimum is found; the overall
-    weight is the maximum over assignments and is re-verified primally.
+    The slice table's rows (the integer assignments with a nonempty slice)
+    are walked in order with a running weight that starts at 1.  Each row
+    is probed at the running weight; while its dual subproblem value stays
+    below the integer optimum, the weight doubles (at most up to
+    ``_BISECTION_CAP``), and the last bracket [lo, hi] is then halved until
+    its width is at most 1.  So the grid is the running weight times powers
+    of 2, then the midpoints of that bracket.  The row's final weight is hi,
+    the least passing weight probed, and it is the running weight for the
+    next row; the row's record is the probe at that final weight.  The
+    certificate's weight is the last running weight, the largest, and it
+    is re-verified primally.
     """
     z_ip = ground_truth(inst).value
     lam = lambda_bar(inst).lambda_bar
@@ -261,29 +268,23 @@ def rho_dual_linf(inst: MiqpInstance) -> RhoCertificate:
     records: list[DualAssignmentRecord] = []
     current = _ONE
     for row in family.at(current).rows():
-        rec = probe(row, current)
-        if rec.dual_value >= z_ip:
-            records.append(rec)
-            continue
-        lo, hi = current, 2 * current
-        rec_hi = None
-        while True:
+        lo = hi = current
+        rec = probe(row, hi)
+        while rec.dual_value < z_ip:
+            lo, hi = hi, 2 * hi
             if hi > _BISECTION_CAP:
                 raise BisectionCapError(
                     f"no certifying weight below {_BISECTION_CAP} for {row.x2}"
                 )
-            rec_hi = probe(row, hi)
-            if rec_hi.dual_value >= z_ip:
-                break
-            lo, hi = hi, 2 * hi
+            rec = probe(row, hi)
         while hi - lo > 1:
             mid = (lo + hi) / 2
-            rec_mid = probe(row, mid)
-            if rec_mid.dual_value >= z_ip:
-                hi, rec_hi = mid, rec_mid
+            at_mid = probe(row, mid)
+            if at_mid.dual_value >= z_ip:
+                hi, rec = mid, at_mid
             else:
                 lo = mid
-        records.append(rec_hi)
+        records.append(rec)
         current = hi
     return _issue(inst, lam, current, pen_linf, DUAL_LINF,
                   DualLinfEvidence(tuple(records)))

@@ -12,7 +12,7 @@ implied by the rows of (E, f).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 
@@ -138,6 +138,19 @@ def _rand_rat(rng: Random, magnitude: int) -> Fraction:
     return Fraction(rng.randint(-magnitude * den, magnitude * den), den)
 
 
+def _bound_rows(n: int, cols: range, bound) -> tuple[list, list]:
+    """Rows x_j <= bound and -x_j <= bound, in that order, for each column j
+    in ``cols`` of an n-column matrix, with their right-hand sides."""
+    rows, rhs = [], []
+    for j in cols:
+        for sign in (1, -1):
+            row = [_ZERO] * n
+            row[j] = Fraction(sign)
+            rows.append(row)
+            rhs.append(Fraction(bound))
+    return rows, rhs
+
+
 def generate(cfg: GenConfig) -> MiqpInstance:
     """Instance construction, deterministic in the seed.
 
@@ -155,18 +168,7 @@ def generate(cfg: GenConfig) -> MiqpInstance:
     c = RatVec(_rand_rat(rng, B) for _ in range(n))
     A = RatMat([[_rand_rat(rng, 1) for _ in range(n)] for _ in range(cfg.m)], cols=n)
 
-    e_rows: list[list[Fraction]] = []
-    f_vals: list[Fraction] = []
-    for j in range(cfg.n2):
-        col = cfg.n1 + j
-        row = [_ZERO] * n
-        row[col] = Fraction(1)
-        e_rows.append(list(row))
-        f_vals.append(Fraction(B))
-        row = [_ZERO] * n
-        row[col] = Fraction(-1)
-        e_rows.append(row)
-        f_vals.append(Fraction(B))
+    e_rows, f_vals = _bound_rows(n, range(cfg.n1, n), B)
     extra_rows = [[_rand_rat(rng, 1) for _ in range(n)] for _ in range(cfg.m2)]
     extra_rhs = [_rand_rat(rng, B) for _ in range(cfg.m2)]
 
@@ -271,19 +273,6 @@ def clamp_box(inst: MiqpInstance, radius: int) -> MiqpInstance:
 
     Used to probe unbounded instances on growing boxes.
     """
-    n = inst.n
-    rows = inst.E.row_list()
-    rhs = list(inst.f)
-    for i in range(n):
-        row = [_ZERO] * n
-        row[i] = Fraction(1)
-        rows.append(list(row))
-        rhs.append(Fraction(radius))
-        row = [_ZERO] * n
-        row[i] = Fraction(-1)
-        rows.append(row)
-        rhs.append(Fraction(radius))
-    return MiqpInstance(
-        Q=inst.Q, c=inst.c, A=inst.A, b=inst.b,
-        E=RatMat(rows, cols=n), f=RatVec(rhs), n1=inst.n1, n2=inst.n2,
-    )
+    rows, rhs = _bound_rows(inst.n, range(inst.n), radius)
+    return replace(inst, E=RatMat(inst.E.row_list() + rows, cols=inst.n),
+                   f=RatVec(list(inst.f) + rhs))

@@ -9,6 +9,12 @@ Four built-in kinds:
   eligible for asymptotic results only, absorbed into quadratic objectives
   rather than encoded by rows).
 
+``linf`` and ``slinf:a`` are one family, ``a * ||u||_inf``, and ``slinf:1``
+is ``linf``.  Each formula below is written once for the family and reads
+its factor from ``Penalty.factor`` (``a`` for ``slinf:a``, 1 for every
+other kind), so no function past ``parse_penalty`` branches on ``slinf``
+or on ``linf``.
+
 Sublevel-set diameters are measured in the max-norm.
 """
 
@@ -67,6 +73,11 @@ class Penalty:
     def is_norm(self) -> bool:
         return self.kind != SQL2
 
+    @property
+    def factor(self) -> Fraction:
+        """The max-norm family's factor: ``alpha`` for ``slinf``, else 1."""
+        return self.alpha if self.kind == SCALED_LINF else _ONE
+
 
 def parse_penalty(spec: str, dim: int) -> Penalty:
     """Parse the CLI spec string: linf | l1 | sql2 | slinf:<p/q>."""
@@ -83,13 +94,11 @@ def parse_penalty(spec: str, dim: int) -> Penalty:
 def evaluate(p: Penalty, u: RatVec) -> Fraction:
     if len(u) != p.dim:
         raise DimMismatchError(f"penalty dim {p.dim} vs residual dim {len(u)}")
-    if p.kind == LINF:
-        return max((abs(v) for v in u), default=_ZERO)
     if p.kind == L1:
         return sum((abs(v) for v in u), _ZERO)
     if p.kind == SQL2:
         return sum((v * v for v in u), _ZERO)
-    return p.alpha * max((abs(v) for v in u), default=_ZERO)
+    return p.factor * max((abs(v) for v in u), default=_ZERO)
 
 
 def level_diam(p: Penalty, delta) -> Fraction:
@@ -103,11 +112,9 @@ def level_diam(p: Penalty, delta) -> Fraction:
         raise NegativeDeltaError("negative sublevel height")
     if delta == 0:
         return _ZERO
-    if p.kind in (LINF, L1):
-        return 2 * delta
-    if p.kind == SCALED_LINF:
-        return 2 * delta / p.alpha
-    return 2 * sqrt_upper(delta)
+    if p.kind == SQL2:
+        return 2 * sqrt_upper(delta)
+    return 2 * delta / p.factor
 
 
 @dataclass(frozen=True)
@@ -136,8 +143,8 @@ def epigraph_rows(p: Penalty, A: RatMat, b: RatVec) -> EpigraphEncoding:
     n = A.cols
     m = A.rows
 
-    if p.kind in (LINF, SCALED_LINF):
-        scale = p.alpha if p.kind == SCALED_LINF else _ONE
+    if p.kind != L1:
+        scale = p.factor
         rows = []
         for i in range(m):
             arow = A.row(i)
@@ -162,11 +169,10 @@ def epigraph_rows(p: Penalty, A: RatMat, b: RatVec) -> EpigraphEncoding:
 
 def epigraph_rhs(p: Penalty, r: RatVec) -> RatVec:
     """Right-hand side of ``epigraph_rows``' inequalities for the residual
-    r = b - Ax: (s r_i, -s r_i) per coordinate i, s the slinf scale (1 for
-    the other norm kinds)."""
+    r = b - Ax: (s r_i, -s r_i) per coordinate i, s = ``p.factor``."""
     if p.kind == SQL2:
         raise UnsupportedKindError("sql2 has no polyhedral epigraph")
-    scale = p.alpha if p.kind == SCALED_LINF else _ONE
+    scale = p.factor
     return RatVec(v for u in r for v in (scale * u, -scale * u))
 
 
@@ -199,11 +205,9 @@ def norm_constants(p: Penalty) -> NormEquivConstants:
     if not p.is_norm:
         raise UnsupportedKindError("norm constants are defined for norm kinds only")
     m = p.dim
-    if p.kind == LINF:
-        return NormEquivConstants(1, max(1, ceil_sqrt(m)))
     if p.kind == L1:
         return NormEquivConstants(max(1, m), max(1, ceil_sqrt(m)))
-    alpha = p.alpha
+    alpha = p.factor
     gamma = max(1, ceil_rat(alpha if alpha >= 1 else 1 / alpha))
     # eta >= alpha covers eta*||u||_2 >= alpha*||u||_inf; the lower side
     # alpha*||u||_inf >= ||u||_2/eta needs eta*alpha >= sqrt(m)

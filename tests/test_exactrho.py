@@ -1,9 +1,11 @@
 import functools
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from aldual import ald
+from aldual import ald, exactrho
 from aldual.ald import (
     SliceFamily,
     eval_lr_plus,
@@ -32,7 +34,7 @@ from aldual.exactrho import (
 )
 from aldual.instance import GenConfig, MiqpInstance, generate
 from aldual.numkit import RatMat, RatVec, rat
-from aldual.penalty import L1, LINF, Penalty, SCALED_LINF, SQL2
+from aldual.penalty import L1, LINF, Penalty, SCALED_LINF, SQL2, parse_penalty
 
 from conftest import d1_instance
 from corpus import grid_corpus
@@ -147,6 +149,59 @@ def test_dual_linf_dominates_empirical_on_gap_instance():
     assert cert.rho_star >= bound.rho_min_upper - WIDTH
 
 
+# Every _dual_probe call of rho_dual_linf, as "x2@rho" in call order, and the
+# sha256 of its certificate as the CLI renders it; captured before the
+# search kept one record per row.  Seed 131 bisects through the fractional
+# midpoints 63/2, 119/4 and 231/8 (running weight 7, doubled to 56).
+_DUAL_LINF_PINS = {
+    24: ("35/4", (
+        "-2,-2@1 -2,-1@1 -2,0@1 -2,0@2 -2,0@4 -2,0@3 -2,1@4 -2,1@8 -2,1@6 "
+        "-2,1@5 -2,2@5 -1,-2@5 -1,-1@5 -1,0@5 -1,1@5 -1,1@10 -1,1@15/2 "
+        "-1,1@35/4 -1,1@65/8 -1,2@35/4 0,-2@35/4 0,-1@35/4 0,0@35/4 0,1@35/4 "
+        "0,2@35/4 1,-2@35/4 1,-1@35/4 1,0@35/4 1,1@35/4 1,2@35/4 2,-2@35/4 "
+        "2,-1@35/4 2,0@35/4 2,1@35/4 2,2@35/4"),
+        "84689fc2924eacdd4646f7bc0cbf122367e8f4fefd82a5ab8a936d62592a6df4"),
+    131: ("6237/128", (
+        "-2,-2@1 -2,-1@1 -2,-1@2 -2,-1@4 -2,-1@3 -2,0@4 -2,1@4 -2,2@4 "
+        "-1,-2@4 -1,-2@8 -1,-2@6 -1,-2@7 -1,-1@7 -1,-1@14 -1,-1@28 -1,-1@56 "
+        "-1,-1@42 -1,-1@35 -1,-1@63/2 -1,-1@119/4 -1,-1@231/8 -1,0@231/8 "
+        "-1,1@231/8 -1,2@231/8 0,-2@231/8 0,-1@231/8 0,0@231/8 0,1@231/8 "
+        "0,2@231/8 1,-2@231/8 1,-1@231/8 1,0@231/8 1,0@231/4 1,0@693/16 "
+        "1,0@1617/32 1,0@3003/64 1,0@6237/128 1,0@12243/256 1,1@6237/128 "
+        "1,2@6237/128"),
+        "990875dd212782d70cbd93a16d57d04963988391b4d4c96fb508d21d21082f12"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_DUAL_LINF_PINS))
+def test_dual_linf_probe_sequence_pinned(seed, monkeypatch):
+    inst = generate(GenConfig(0, 2, 1, 1, magnitude=2, seed=seed))
+    probes = []
+    probe = exactrho._dual_probe
+
+    def recording(inst, blocks, slicer, row, rho):
+        probes.append(f"{','.join(map(str, row.x2))}@{rho}")
+        return probe(inst, blocks, slicer, row, rho)
+
+    monkeypatch.setattr(exactrho, "_dual_probe", recording)
+    cert = rho_dual_linf(inst)
+    rho_star, sequence, digest = _DUAL_LINF_PINS[seed]
+    assert str(cert.rho_star) == rho_star
+    assert " ".join(probes) == sequence
+    text = json.dumps(cert.to_json_dict(), indent=1, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # each row's record is the probe at its final weight: the weight the
+    # next row starts from, and rho* for the last row
+    starts = {}
+    for entry in probes:
+        x2, rho = entry.split("@")
+        starts.setdefault(x2, Fraction(rho))
+    finals = list(starts.values())[1:] + [cert.rho_star]
+    assert [rec.rho_x2 for rec in cert.evidence.records] == finals
+    assert [",".join(map(str, rec.assignment)) for rec in cert.evidence.records] \
+        == list(starts)
+
+
 # ------------------------------------------------------------ conversions
 
 def test_rho_for_norm_examples():
@@ -217,6 +272,16 @@ def test_empirical_certificate(d1):
     cert = certificate_empirical(d1, nd.lambda_bar, Penalty(LINF, 1), 4)
     assert cert.method == EMPIRICAL
     assert certify(d1, cert.lambda_used, cert.rho_star, Penalty(LINF, 1))
+
+
+def test_slinf_one_is_linf_on_the_grid_corpus():
+    for inst in grid_corpus():
+        lam = lambda_bar(inst).lambda_bar
+        linf, one = Penalty(LINF, inst.m), parse_penalty("slinf:1", inst.m)
+        for rho in (0, Fraction(1, 2), 1, 3):
+            assert eval_lr_plus(inst, lam, rho, one) == eval_lr_plus(inst, lam, rho, linf)
+        assert rho_bisect_empirical(inst, lam, one, 4) == \
+            rho_bisect_empirical(inst, lam, linf, 4)
 
 
 # the reference's evaluations, shared between the calls of one case (the

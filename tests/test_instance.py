@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -62,6 +63,36 @@ def test_validate_not_symmetric(d1):
 def test_generate_deterministic():
     cfg = GenConfig(n1=1, n2=2, m=1, m2=1, magnitude=2, seed=7)
     assert to_json_dict(generate(cfg)) == to_json_dict(generate(cfg))
+
+
+# sha256 of write_instance's bytes, captured before generate and clamp_box
+# shared one builder of the bound rows: pure integer, mixed, extra rows
+# (m2 > 0) and an unplanted draw
+_GENERATED_DIGESTS = [
+    (GenConfig(0, 2, 2, 1, magnitude=2, seed=5),
+     "cf8ba78a4d3c0bdf4c1c26d8a077f5ffa09f84bdfadc637b2e558f8165e1e09b"),
+    (GenConfig(2, 2, 2, 0, magnitude=3, seed=7),
+     "aae12fb5650e390c60a9daffe5234509b89407a7bb47a30ab3d237ff3d018e96"),
+    (GenConfig(1, 2, 1, 3, magnitude=2, seed=9),
+     "e60b2147b234768a1c687ddeb625166574530ab70b471f74605481b87fa5ed81"),
+    (GenConfig(2, 1, 2, 2, magnitude=2, seed=13, require_feasible=False),
+     "c3638f6d99ca03ac9dc54ba1444675cf0e52ecfffc67e8df22749b45daa7515e"),
+]
+
+
+def _written_digest(inst, path):
+    write_instance(inst, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("cfg,digest", _GENERATED_DIGESTS)
+def test_generate_bytes_pinned(cfg, digest, tmp_path):
+    assert _written_digest(generate(cfg), tmp_path / "gen.json") == digest
+
+
+def test_clamp_box_bytes_pinned(d1, tmp_path):
+    assert _written_digest(clamp_box(d1, 2), tmp_path / "clamped.json") == \
+        "7acccb0404bee01e82e55a35e92af13928cb47953206f5cfc8d3e468b1d177c7"
 
 
 def test_generate_validates_and_is_feasible():

@@ -12,6 +12,7 @@ from aldual.penalty import (
     Penalty,
     SCALED_LINF,
     SQL2,
+    epigraph_rhs,
     epigraph_rows,
     epigraph_start,
     evaluate,
@@ -235,3 +236,27 @@ def test_norm_constants_inequalities_exact():
                 # Euclidean comparisons squared to stay rational
                 assert nc.eta ** 2 * l2sq >= psi * psi
                 assert nc.eta ** 2 * psi * psi >= l2sq
+
+
+# ------------------------------------------------------- slinf:1 is linf
+
+def test_slinf_one_norm_constants_are_linf_ones():
+    for m in range(301):
+        assert norm_constants(parse_penalty("slinf:1", m)) == \
+            norm_constants(Penalty(LINF, m))
+
+
+def test_slinf_one_is_linf_on_drawn_residuals():
+    rng = Random(26)
+    for _ in range(200):
+        m, n = rng.randint(0, 4), rng.randint(1, 3)
+        lin, one = Penalty(LINF, m), parse_penalty("slinf:1", m)
+        A = RatMat([[rand_rat(rng, 2) for _ in range(n)] for _ in range(m)], cols=n)
+        b = RatVec([rand_rat(rng, 2) for _ in range(m)])
+        r = b - A.matvec(RatVec([rand_rat(rng, 2) for _ in range(n)]))
+        delta = abs(rand_rat(rng))
+        assert evaluate(one, r) == evaluate(lin, r)
+        assert level_diam(one, delta) == level_diam(lin, delta)
+        assert epigraph_rows(one, A, b) == epigraph_rows(lin, A, b)
+        assert epigraph_rhs(one, r) == epigraph_rhs(lin, r)
+        assert epigraph_start(one, r) == epigraph_start(lin, r)

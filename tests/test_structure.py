@@ -28,7 +28,10 @@ error's exit code comes from its base class, never from a list of names.
 scales the program itself, so a scaling fault in the solver cannot hide
 from it.  Nor does ``convexsolve`` keep a module-level dict or cache, of
 int forms or anything else: a form lives in the caller's mapping and
-goes with it.
+goes with it.  In ``penalty``, only ``Penalty`` and ``parse_penalty`` name
+``SCALED_LINF`` or read ``.alpha``, and no comparison tests a kind against
+``LINF``: the max-norm family's factor is read once, as ``Penalty.factor``,
+so ``linf`` and ``slinf:a`` share every formula.
 """
 
 import ast
@@ -231,3 +234,52 @@ def test_module_cache_rule_covers_mappings_caches_and_globals():
 
 def test_convexsolve_keeps_no_module_cache():
     assert _module_caches(_tree(next(p for p in MODULES if p.stem == "convexsolve"))) == []
+
+
+_SCALED = {"SCALED_LINF", "slinf"}
+
+
+def _max_norm_branches(tree):
+    """Where a function or class of ``tree`` other than ``Penalty`` and
+    ``parse_penalty`` names the ``slinf`` kind or reads ``.alpha``, and
+    where a comparison tests a kind against ``LINF``."""
+    found = []
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
+                and top.name not in ("Penalty", "parse_penalty"):
+            found += [f"{_named(node)} (line {node.lineno})" for node in ast.walk(top)
+                      if _named(node) in _SCALED or (
+                          isinstance(node, (ast.Attribute, ast.Constant))
+                          and _named(node) == "alpha")]
+    for node in ast.walk(tree):
+        names = {_named(part) for part in ast.walk(node)} \
+            if isinstance(node, ast.Compare) else set()
+        if "kind" in names and names & {"LINF", "linf"}:
+            found.append(f"kind against LINF (line {node.lineno})")
+    return found
+
+
+def test_max_norm_rule_covers_names_attributes_and_comparisons():
+    tree = ast.parse("SCALED_LINF = 'slinf'\n"
+                     "class Penalty:\n"
+                     "    def factor(self):\n"
+                     "        return self.alpha if self.kind == SCALED_LINF else 1\n"
+                     "def parse_penalty(spec):\n"
+                     "    return Penalty(SCALED_LINF, 1) if spec in (LINF, L1) else None\n"
+                     "def evaluate(p, u):\n"
+                     "    if p.kind == LINF:\n"
+                     "        return 1\n"
+                     "    if p.kind in (pen.LINF, 'slinf'):\n"
+                     "        return 2\n"
+                     "    return p.alpha * getattr(p, 'alpha')\n"
+                     "def level_diam(p, delta):\n"
+                     "    alpha = p.factor\n"
+                     "    return delta / alpha if p.kind != SCALED_LINF else 0\n")
+    assert sorted(_max_norm_branches(tree)) == [
+        "SCALED_LINF (line 15)", "alpha (line 12)", "alpha (line 12)",
+        "kind against LINF (line 10)", "kind against LINF (line 8)",
+        "slinf (line 10)"]
+
+
+def test_penalty_reads_the_max_norm_factor_once():
+    assert _max_norm_branches(_tree(next(p for p in MODULES if p.stem == "penalty"))) == []
