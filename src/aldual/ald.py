@@ -5,21 +5,27 @@ linear set (computed by LP), so the ground-truth mixed integer value and
 every penalized relaxation value are exact minima over finitely many
 convex subproblems, one per integer slice.  One table per instance lists
 the nonempty slices E1 x1 <= f - E2 x2 with a point of each (a slice's set
-does not depend on the objective): checked directly when n1 = 0, where
-each subproblem is that point, evaluated with no solver; else found by
-one LP per box point.  Each row also carries the slice's x2-only terms,
-evaluated on Python ints by ``numkit``'s integer point kernels, from which
-every slice program of every relaxation (lam, pen, rho) is assembled.  A
-``SliceSolver`` at one (lam, pen, rho) is the one walk over the slices:
-``rows`` lists them, ``minimum`` evaluates one, and ``argmin`` finds the
-first of least minimum, from which ``solve_ip`` and ``SliceFamily.relax``
-(``eval_lr_plus``) build their reports; ``exactrho``'s certificate routes
-walk ``rows`` slice by slice.  Every route gets its slicers from one
-``SliceFamily`` per call, which checks the arguments once, builds each
-weight's slicer once and holds the call's KKT factors and the KKT
-check's int forms, one of each per constraint system, shared by every
-slice QP of every weight and dropped with the call.  An empty slice takes
-no solve, and QP slices start at the table's point.
+does not depend on the objective).  A row of E whose continuous part E1
+is zero (an x2-only row, every row when n1 = 0) constrains no variable of
+a slice: its slack s2_j = f_j - E2_j x2 is checked once per box point,
+and a point with s2_j < 0 has an empty slice and takes no solve.  So the
+inequalities of every slice program are [E1 | 0] over the rows with a
+nonzero E1 only.  When n1 = 0 that check is the whole test, and each
+subproblem is the point, evaluated with no solver; else the slice's point
+comes from one LP over those rows.  Each row also carries the slice's
+x2-only terms, evaluated on Python ints by ``numkit``'s integer point
+kernels, from which every slice program of every relaxation (lam, pen,
+rho) is assembled.  A ``SliceSolver`` at one (lam, pen, rho) is the one
+walk over the slices: ``rows`` lists them, ``minimum`` evaluates one, and
+``argmin`` finds the first of least minimum, from which ``solve_ip`` and
+``SliceFamily.relax`` (``eval_lr_plus``) build their reports;
+``exactrho``'s certificate routes walk ``rows`` slice by slice.  Every
+route gets its slicers from one ``SliceFamily`` per call, which checks
+the arguments once, builds each weight's slicer once and holds the call's
+KKT factors and the KKT check's int forms, one of each per constraint
+system, shared by every slice LP and QP of every weight and dropped with
+the call.  An empty slice takes no solve, and QP slices start at the
+table's point.
 
 On a pure-integer instance a point's value f2 + lam.r2 + rho psi(r2)
 depends on the point only through f2 and its residual r2, so points of
@@ -115,19 +121,20 @@ class IntegerBox:
 
 @_per_instance
 def integer_box(inst: MiqpInstance) -> IntegerBox:
-    """ceil/floor of the LP min/max of each integer coordinate over Ex <= f."""
-    lower, upper = [], []
+    """ceil/floor of the LP min/max of each integer coordinate over Ex <= f,
+    all solved with one mapping (they share one constraint system)."""
+    lower, upper, factors = [], [], {}
     for j in range(inst.n2):
         col = inst.n1 + j
         obj = RatVec.unit(inst.n, col)
         lo_rep = solve_lp(LinearProgram(obj, RatMat([], cols=inst.n), RatVec([]),
-                                        inst.E, inst.f))
+                                        inst.E, inst.f), factors=factors)
         if lo_rep.status == INFEASIBLE:
             return IntegerBox.empty(inst.n2)
         if lo_rep.status == UNBOUNDED:
             raise UnboundedIntegerVarError(j)
         hi_rep = solve_lp(LinearProgram(-obj, RatMat([], cols=inst.n), RatVec([]),
-                                        inst.E, inst.f))
+                                        inst.E, inst.f), factors=factors)
         if hi_rep.status == UNBOUNDED:
             raise UnboundedIntegerVarError(j)
         lower.append(ceil_rat(lo_rep.value))
@@ -186,20 +193,44 @@ def _box_rows(inst: MiqpInstance, points):
 
 
 @_per_instance
+def _row_split(inst: MiqpInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The indices of the rows of E with a nonzero continuous part E1, which
+    every slice program keeps, and of the x2-only rows, checked once per
+    box point instead (every row when n1 = 0)."""
+    E1 = inst.split_cols(inst.E)[0]
+    kept = tuple(i for i in range(E1.rows) if not E1.row(i).is_zero())
+    return kept, tuple(i for i in range(E1.rows) if i not in kept)
+
+
+def _x2_feasible_rows(inst: MiqpInstance):
+    """The SliceRow of each box point whose x2-only rows hold (s2_j >= 0),
+    in lexicographic order, x1 left None: the other points have empty
+    slices."""
+    x2_only = _row_split(inst)[1]
+    for row in _box_rows(inst, integer_box(inst).assignments()):
+        if all(row.s2[j] >= 0 for j in x2_only):
+            yield row
+
+
+@_per_instance
 def _slices(inst: MiqpInstance) -> tuple[SliceRow, ...]:
     """The nonempty slices E1 x1 <= s2 of the integer box, in lexicographic
-    order, one SliceRow each.  Its x1 is the empty vector when n1 = 0,
-    where s2 >= 0 is checked directly, else from one zero-objective LP."""
-    E1 = inst.split_cols(inst.E)[0]
+    order, one SliceRow each.  A box point whose x2-only rows fail is
+    skipped with no LP; the others' x1 is the empty vector when n1 = 0,
+    else from one zero-objective LP over the rows with a nonzero E1, all
+    solved with one mapping (they share one constraint system)."""
+    kept = _row_split(inst)[0]
+    E1 = inst.E.submatrix(kept, range(inst.n1))
     zero, no_rows = RatVec.zeros(inst.n1), RatMat([], cols=inst.n1)
+    factors: dict = {}
     table = []
-    for row in _box_rows(inst, integer_box(inst).assignments()):
+    for row in _x2_feasible_rows(inst):
         if inst.n1 == 0:
-            if any(v < 0 for v in row.s2):
-                continue
             x1 = zero
         else:
-            rep = solve_lp(LinearProgram(zero, no_rows, RatVec([]), E1, row.s2))
+            rhs = RatVec(row.s2[j] for j in kept)
+            rep = solve_lp(LinearProgram(zero, no_rows, RatVec([]), E1, rhs),
+                           factors=factors)
             if rep.status == INFEASIBLE:
                 continue
             x1 = rep.x
@@ -225,11 +256,14 @@ def _point_classes(inst: MiqpInstance) -> tuple[SliceRow, ...]:
 def _x1_block(inst: MiqpInstance, pen: pen_mod.Penalty | None, s: int,
               include_eq: bool) -> tuple:
     """A slicer's continuous block (A1, quadratic s Q11, inequality rows,
-    equality rows, the equalities' right-hand side), which depends on
-    neither lam nor the weight, so an instance keeps one per penalty
-    shape; ``pen`` is its norm penalty or None."""
+    equality rows, the equalities' right-hand side, the kept rows of E),
+    which depends on neither lam nor the weight, so an instance keeps one
+    per penalty shape; ``pen`` is its norm penalty or None.  The
+    inequality rows start with [E1 | 0] over the kept rows, the indices
+    of the rows of E with a nonzero E1 (``_row_split``), in order."""
     n1 = inst.n1
-    A1, E1 = inst.A.col_block(0, n1), inst.E.col_block(0, n1)
+    kept = _row_split(inst)[0]
+    A1, E1 = inst.A.col_block(0, n1), inst.E.submatrix(kept, range(n1))
     quad = inst.Q.submatrix(range(n1), range(n1)).scale(s)
     n_aux, eq_tail = 0, ()
     if pen is not None:
@@ -245,7 +279,8 @@ def _x1_block(inst: MiqpInstance, pen: pen_mod.Penalty | None, s: int,
         ineq.append(enc.ineq_lhs)
         eq.append(enc.eq_lhs)
     return (A1, RatMat.vstack([padded(quad), RatMat.zeros(n_aux, width)], cols=width),
-            RatMat.vstack(ineq, cols=width), RatMat.vstack(eq, cols=width), eq_tail)
+            RatMat.vstack(ineq, cols=width), RatMat.vstack(eq, cols=width), eq_tail,
+            kept)
 
 
 class SliceFamily:
@@ -315,15 +350,18 @@ class SliceSolver:
     With q = rho for sql2 (0 otherwise) the constant is s f2 + lam.r2
     + q |r2|^2, the quadratic s Q11 + 2q A1^T A1 (the block's s Q11, plus
     the weight's term added here) and the x1 linear term
-    s g1 - A1^T (lam + 2q r2).  The inequalities are [E1 | 0] <= s2, then
-    for a norm penalty ``epigraph_rows(pen, A1, .)`` with
-    ``epigraph_rhs(pen, r2)``, on auxiliary columns whose last, w, costs
-    rho; ``include_eq`` (solve_ip) adds [A1 | 0] = r2.  rho = 0, or no
-    dualized rows, drops the penalty.  A QP slice is solved with the
-    family's KKT factor mapping.  A point slice (n1 = 0) is
-    s f2 + lam.r2 + rho psi(r2), in closed form.  The walk is ``rows``,
-    ``minimum`` of each and ``argmin`` over ``candidates``: ``rows``, or
-    with s = 1 on a pure-integer instance one row per residual class.
+    s g1 - A1^T lam - 2q A1^T r2, whose lam part A1^T lam is priced once
+    per slicer.  The inequalities are [E1 | 0] <= s2 over the rows of E
+    with a nonzero E1 only (the block's kept rows: an x2-only row was
+    checked once per box point, see ``_slices``), then for a norm penalty
+    ``epigraph_rows(pen, A1, .)`` with ``epigraph_rhs(pen, r2)``, on
+    auxiliary columns whose last, w, costs rho; ``include_eq`` (solve_ip)
+    adds [A1 | 0] = r2.  rho = 0, or no dualized rows, drops the penalty.
+    Every slice LP and QP is solved with the family's mapping.  A point
+    slice (n1 = 0) is s f2 + lam.r2 + rho psi(r2), in closed form.  The
+    walk is ``rows``, ``minimum`` of each and ``argmin`` over
+    ``candidates``: ``rows``, or with s = 1 on a pure-integer instance one
+    row per residual class.
     Within a class the values differ only by f2, at every (lam, rho), so
     the first row of least value over ``rows`` is its class's first row of
     least f2, a candidate, and no earlier candidate reaches its value; and
@@ -340,8 +378,10 @@ class SliceSolver:
         self.factors = family.factors
         self.epigraph = pen is not None and pen.is_norm
         self.q = rho if pen is not None and not self.epigraph else _ZERO
-        self.A1, self.Qsub, self.ineq_mat, self.eq_mat, self.eq_tail = _x1_block(
-            inst, pen if self.epigraph else None, self.s, self.include_eq)
+        (self.A1, self.Qsub, self.ineq_mat, self.eq_mat, self.eq_tail,
+         self.kept) = _x1_block(inst, pen if self.epigraph else None, self.s,
+                                self.include_eq)
+        self.lam_term = self.A1.tmatvec(self.lam)
         if self.q:
             self.Qsub = self.Qsub + self.A1.transpose().matmul(self.A1).scale(2 * self.q)
         self.quad_free = self.Qsub.is_zero()
@@ -356,8 +396,10 @@ class SliceSolver:
     def program(self, row: SliceRow) -> LinearProgram | QuadraticProgram:
         """The row's slice program over (x1, aux), less ``constant``: a
         LinearProgram when the quadratic is zero."""
-        g = row.g1.scale(self.s) - self.A1.tmatvec(self.lam + row.r2.scale(2 * self.q))
-        ineq_rhs = list(row.s2)
+        g = row.g1 - self.lam_term if self.s else -self.lam_term
+        if self.q:
+            g = g - self.A1.tmatvec(row.r2).scale(2 * self.q)
+        ineq_rhs = [row.s2[j] for j in self.kept]
         if self.epigraph:
             ineq_rhs += pen_mod.epigraph_rhs(self.pen, row.r2)
         data = (RatVec(list(g) + self.aux_cost), self.eq_mat,
@@ -373,7 +415,7 @@ class SliceSolver:
         INFEASIBLE for it raises InternalInvariantError."""
         program = self.program(row)
         if self.quad_free:
-            rep = solve_lp(program)
+            rep = solve_lp(program, factors=self.factors)
         else:
             start = row.x1
             if start is not None and self.epigraph:
@@ -388,12 +430,13 @@ class SliceSolver:
         """The slices a walk visits, in lexicographic order: the instance's
         ``_slices`` table, except for ``include_eq``, which keeps a
         pure-integer table's rows with r2 = 0 and walks a mixed instance's
-        raw box (the table lacks the A rows), x1 None, so solved cold."""
+        raw box (the table lacks the A rows), x1 None, so solved cold; a
+        box point whose x2-only rows fail is skipped there with no solve."""
         inst = self.inst
         if not self.include_eq:
             return _slices(inst)
         if inst.n1:
-            return _box_rows(inst, integer_box(inst).assignments())
+            return _x2_feasible_rows(inst)
         return (row for row in _slices(inst) if row.r2.is_zero())
 
     def candidates(self) -> Iterable[SliceRow]:

@@ -43,10 +43,10 @@ The KKT check of every OPTIMAL report runs on ints as well, but it scales
 the program itself: it puts the program's own matrices over their common
 denominators (``_KktForm``) and never reads the solver's integer system or
 tableau, so a scaling fault in a solver cannot hide from it.  ``solve_qp``
-keeps that form once per constraint system in the caller's mapping, as a
-value of its own beside the solver's entry; ``solve_lp`` builds it per
-call.  The check of an UNBOUNDED report's ray stays in Fractions, since
-rays are rare.
+and ``solve_lp`` keep that form once per constraint system in the
+caller's mapping, as a value of its own beside the solver's entry, and a
+cold ``solve_qp`` passes its mapping to its phase-1 LP.  The check of an
+UNBOUNDED report's ray stays in Fractions, since rays are rare.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ class BoundednessReport:
 _MAX_PIVOTS = 200_000
 
 
-def solve_lp(lp: LinearProgram) -> SolveReport:
+def solve_lp(lp: LinearProgram, factors: dict | None = None) -> SolveReport:
     """Two-phase primal simplex with Bland's rule, free variables split.
 
     Each free variable is split as x = x+ - x-, each inequality row gets a
@@ -206,7 +206,10 @@ def solve_lp(lp: LinearProgram) -> SolveReport:
     undone: the ray along a slack column is multiplied back by L, and the
     duals are ``L * (c_B . T[:, art]) / (det * Lc)``.  Every number
     returned is a Fraction.  An OPTIMAL report is KKT-checked on ints that
-    :func:`_verify_kkt` scales from the program itself, and an UNBOUNDED
+    :func:`_verify_kkt` scales from the program itself (its
+    :class:`_KktForm`, kept in ``factors`` under ``("kkt", (None, eq_lhs,
+    ineq_lhs))`` as ``solve_qp`` keeps a QP's, so the LPs of one caller's
+    mapping that share their matrices build it once), and an UNBOUNDED
     one's ray is verified in Fractions; neither check reads the tableau.
     """
     n = len(lp.objective)
@@ -335,7 +338,7 @@ def solve_lp(lp: LinearProgram) -> SolveReport:
     ineq_duals = RatVec(-y_orig[m_eq + j] for j in range(m_in))
     report = SolveReport(OPTIMAL, value, x, eq_duals, ineq_duals, None)
     _verify_kkt(None, lp.objective, lp.eq_lhs, lp.eq_rhs, lp.ineq_lhs,
-                lp.ineq_rhs, report)
+                lp.ineq_rhs, report, _kkt_form(factors, None, lp.eq_lhs, lp.ineq_lhs))
     return report
 
 
@@ -395,6 +398,20 @@ def _verify_kkt(Qobj, cobj, eq_lhs, eq_rhs, ineq_lhs, ineq_rhs,
             raise InternalInvariantError("negative inequality multiplier")
         if y and slack:
             raise InternalInvariantError("complementary slackness violated")
+
+
+def _kkt_form(factors: dict | None, Qobj: RatMat | None, eq_lhs: RatMat,
+              ineq_lhs: RatMat) -> _KktForm:
+    """The system's :class:`_KktForm`, kept in ``factors`` under ``("kkt",
+    (Qobj, eq_lhs, ineq_lhs))`` and built on a miss; built afresh, and not
+    kept, without a mapping."""
+    if factors is None:
+        return _KktForm(Qobj, eq_lhs, ineq_lhs)
+    key = ("kkt", (Qobj, eq_lhs, ineq_lhs))
+    form = factors.get(key)
+    if form is None:
+        form = factors[key] = _KktForm(Qobj, eq_lhs, ineq_lhs)
+    return form
 
 
 class _KktForm:
@@ -540,7 +557,7 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None,
 
     if x0 is None:
         feas = solve_lp(LinearProgram(RatVec.zeros(n), qp.eq_lhs, qp.eq_rhs,
-                                      qp.ineq_lhs, qp.ineq_rhs))
+                                      qp.ineq_lhs, qp.ineq_rhs), factors=factors)
         if feas.status == INFEASIBLE:
             return SolveReport(status=INFEASIBLE)
         X, D = int_vector(feas.x)
@@ -627,11 +644,8 @@ def solve_qp(qp: QuadraticProgram, x0: RatVec | None = None,
         report = SolveReport(OPTIMAL, value, rat_vector(X, D),
                              rat_vector([-a for a in sol[n:n + m_eq]], scale),
                              rat_vector(ineq_duals, scale), None)
-        form = factors.get(("kkt", key))
-        if form is None:
-            form = factors["kkt", key] = _KktForm(*key)
         _verify_kkt(qp.Qobj, qp.cobj, qp.eq_lhs, qp.eq_rhs, qp.ineq_lhs,
-                    qp.ineq_rhs, report, form)
+                    qp.ineq_rhs, report, _kkt_form(factors, *key))
         return report
     raise InternalInvariantError("active-set iteration cap exceeded")
 

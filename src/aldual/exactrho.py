@@ -195,18 +195,24 @@ def _dual_probe(inst: MiqpInstance, blocks: tuple, slicer, row,
     dual objective equals the subproblem value by strong duality, checked
     exactly along with the multiplier identities, from the instance's
     ``blocks`` at lam (Q11, Q12, Q22, A1, A2, E1, E2, c1 - A1^T lam,
-    c2 - A2^T lam, lam.b), not from the row.
+    c2 - A2^T lam, lam.b), not from the row.  The subproblem holds only
+    the rows of E with a nonzero E1 (``slicer.kept``); ``y3`` has one
+    entry per row of E, 0 on each x2-only row, the multiplier that row
+    would take in the program with every row (it constrains no variable).
     """
     rep, value = slicer.solve(row._replace(x1=None))
     if rep.status != OPTIMAL:
         raise InternalInvariantError(
             f"slice {row.x2} subproblem {rep.status} at the optimal multipliers"
         )
-    m, m2, n1 = inst.m, inst.m2, inst.n1
-    mu = rep.ineq_duals
-    y3 = RatVec(mu[:m2])
-    y1 = RatVec(mu[m2 + 2 * i] for i in range(m))
-    y2 = RatVec(mu[m2 + 2 * i + 1] for i in range(m))
+    m, n1, kept = inst.m, inst.n1, slicer.kept
+    mu, k = rep.ineq_duals, len(kept)
+    y3 = [_ZERO] * inst.m2
+    for j, y in zip(kept, mu):
+        y3[j] = y
+    y3 = RatVec(y3)
+    y1 = RatVec(mu[k + 2 * i] for i in range(m))
+    y2 = RatVec(mu[k + 2 * i + 1] for i in range(m))
     zeros1 = RatVec.zeros(n1)
     nu = -RatVec(rep.x[:n1])
     x2v = RatVec(row.x2)

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from aldual import ald
+from aldual import ald, convexsolve
 from aldual.ald import (
     SWEEP_CSV_HEADER,
     dual_ascent,
@@ -37,6 +37,7 @@ from aldual.penalty import L1, LINF, Penalty, SQL2, evaluate, parse_penalty
 
 from conftest import d1_instance
 from corpus import GRID_SHAPES, grid_corpus, pure_integer_corpus
+from full_rows import full_program
 
 
 def _replace(inst, **kw):
@@ -406,14 +407,16 @@ _POINT_SPECS = ("linf", "l1", "slinf:3/2", "sql2")
 
 
 def _lp_route(slicer):
-    """Slice values by one exact LP/QP per box point, infeasible ones left out."""
+    """Slice values by one exact LP per box point, infeasible ones left out:
+    the slice program with every row of E (a point slice's are all
+    x2-only rows, which the slicer's own programs leave out)."""
     values = {}
     inst = slicer.inst
     for row in ald._box_rows(inst, integer_box(inst).assignments()):
-        rep, value = slicer.solve(row)
+        rep = solve_lp(full_program(inst, slicer.program(row), row.s2))
         if rep.status != INFEASIBLE:
             assert rep.status == OPTIMAL
-            values[row.x2] = value
+            values[row.x2] = rep.value + slicer.constant(row)
     return values
 
 
@@ -644,8 +647,8 @@ def test_infeasible_table_slice_is_an_internal_error(monkeypatch):
     target = ald.SliceFamily(inst, lam, pen).at(0).program(row)
     solve = ald.solve_lp
 
-    def failing(lp):
-        return SolveReport(status=INFEASIBLE) if lp == target else solve(lp)
+    def failing(lp, factors=None):
+        return SolveReport(status=INFEASIBLE) if lp == target else solve(lp, factors)
 
     monkeypatch.setattr(ald, "solve_lp", failing)
     with pytest.raises(InternalInvariantError, match=r"\(0, 0\)"):
@@ -669,6 +672,60 @@ def test_dual_linf_probes_no_empty_slice(make, calls, solver_calls):
     assert cert.rho_star == 1
     assert [r.assignment for r in cert.evidence.records] == [
         x2 for x2, *_ in ald._slices(inst)]
+
+
+def _x2_only_instance(q11):
+    """n1 = 1, n2 = 2 under 0 <= x1 <= 4, 0 <= y <= 2 and the x2-only row
+    y1 + y2 <= 3: the box is [0, 2]^2, and (2, 2) breaks only that row."""
+    return MiqpInstance(
+        Q=RatMat([[q11, 0, 0], [0, 1, 0], [0, 0, 1]]), c=RatVec([-1, 1, -1]),
+        A=RatMat([[1, -1, 1]]), b=RatVec([1]),
+        E=RatMat([[-1, 0, 0], [1, 0, 0], [0, -1, 0], [0, 0, -1], [0, 1, 0],
+                  [0, 0, 1], [0, 1, 1]]),
+        f=RatVec([0, 4, 0, 0, 2, 2, 3]), n1=1, n2=2)
+
+
+@pytest.mark.parametrize("q11, ip_calls", [(0, {"lp": 8, "qp": 0}),
+                                           (2, {"lp": 8, "qp": 8})],
+                         ids=["lp", "qp"])
+def test_x2_only_rows_take_no_solve(q11, ip_calls, solver_calls):
+    # a box point that breaks an x2-only row has an empty slice, found with
+    # no LP: the table makes one LP for each of the other 8 points, and
+    # solve_ip's raw box one cold LP, or one cold QP and its phase-1 LP
+    inst = _x2_only_instance(q11)
+    assert (integer_box(inst).lower, integer_box(inst).upper) == ((0, 0), (2, 2))
+    lambda_bar(inst)
+    solver_calls.update(lp=0, qp=0)
+    table = [row.x2 for row in ald._slices(inst)]
+    assert solver_calls == {"lp": 8, "qp": 0}
+    assert table == [x2 for x2 in integer_box(inst).assignments() if x2 != (2, 2)]
+    solver_calls.update(lp=0, qp=0)
+    assert solve_ip(inst).status == OPTIMAL
+    assert solver_calls == ip_calls
+
+
+def test_dual_linf_builds_one_kkt_form_per_system(d1, monkeypatch):
+    # every probe LP of rho_dual_linf on d1 shares one constraint system,
+    # and the call's mapping keeps its KKT check's int form: one form, not
+    # one per probe
+    for fact in (integer_box, lambda_bar, solve_ip):
+        fact(d1)
+    forms, systems = [], set()
+    make_form, solve = convexsolve._KktForm, ald.solve_lp
+
+    def counting(*key):
+        forms.append(key)
+        return make_form(*key)
+
+    def recording(lp, factors=None):
+        systems.add((lp.eq_lhs, lp.ineq_lhs))
+        return solve(lp, factors=factors)
+
+    monkeypatch.setattr(convexsolve, "_KktForm", counting)
+    monkeypatch.setattr(ald, "solve_lp", recording)
+    cert = rho_dual_linf(d1)
+    assert len(cert.evidence.records) == 49
+    assert len(forms) == len(systems) == 1
 
 
 @pytest.mark.parametrize("idx", range(len(GRID_SHAPES) + 1))

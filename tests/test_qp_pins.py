@@ -23,9 +23,15 @@ with the one recorded in ``tests/qp_pins.json``:
 
 Each pin also holds a digest of the program (under the key ``qp``, for
 LPs too), so a change in how a program is built shows as a changed digest
-rather than as a changed report.  To record the pins again, only when a
-change alters the reports on purpose and says so (naming groups records
-only those; the others keep their bytes)::
+rather than as a changed report.  A slice program, and a slice-table LP,
+holds only the rows of E with a nonzero continuous part; it is pinned as
+the program with every row, each x2-only row put back at its place with
+its slack as right-hand side and a zero multiplier in the report
+(``full_rows``), which is the program and report of the full-row slice.
+
+To record the pins again, only when a change alters the reports on
+purpose and says so (naming groups records only those; the others keep
+their bytes)::
 
     PYTHONPATH=src python tests/test_qp_pins.py [lp] [random] [relaxation] [slice]
 """
@@ -57,6 +63,7 @@ from aldual.numkit import RatMat, RatVec, solve_linear, to_wire
 from aldual.penalty import parse_penalty
 
 from conftest import d1_instance
+from full_rows import full_program, full_report
 from corpus import GRID_SHAPES, PURE_INTEGER_SHAPES, grid_corpus, pure_integer_corpus
 
 PINS = Path(__file__).resolve().parent / "qp_pins.json"
@@ -160,19 +167,40 @@ def relaxation_pins() -> dict:
 
 
 def _record(pins: dict, label: str, run, solvers=("solve_qp",),
-            numbers=None, module=ald) -> None:
+            numbers=None, module=ald, slices_of=None) -> None:
     """Run ``run()`` with ``module``'s ``solvers`` replaced by recorders:
     each program solved is pinned, in solve order, as ``label #i``, i taken
     from ``numbers`` (0, 1, ... by default).  A program given a start is
     pinned by its cold report and solved again from the start, with the
-    caller's factor mapping, which must reach the same point."""
+    caller's factor mapping, which must reach the same point.  With
+    ``slices_of`` every program solved is a slice program or a
+    slice-table LP of that instance, pinned with every row of E (see the
+    module docstring), at the box point the slicer or the table walk
+    visits last."""
     originals = {name: getattr(module, name) for name in solvers}
     numbers = itertools.count() if numbers is None else numbers
+    visiting = []
+    box_rows, slice_solve = ald._box_rows, ald.SliceSolver.solve
+
+    def tracked_box_rows(inst, points):
+        for row in box_rows(inst, points):
+            visiting[:] = [row]
+            yield row
+
+    def tracked_solve(slicer, row):
+        visiting[:] = [row]
+        return slice_solve(slicer, row)
 
     def recorder(solve):
         def record(program, x0=None, factors=None):
             report = solve(program)
-            pins[f"{label} #{next(numbers)}"] = _pin(program, report)
+            if slices_of is None:
+                pins[f"{label} #{next(numbers)}"] = _pin(program, report)
+            else:
+                [row] = visiting
+                pins[f"{label} #{next(numbers)}"] = _pin(
+                    full_program(slices_of, program, row.s2),
+                    full_report(slices_of, report))
             if x0 is not None:
                 warm = solve(program, x0, factors)
                 assert (warm.status, warm.value, warm.x) == \
@@ -183,10 +211,12 @@ def _record(pins: dict, label: str, run, solvers=("solve_qp",),
     try:
         for name, solve in originals.items():
             setattr(module, name, recorder(solve))
+        ald._box_rows, ald.SliceSolver.solve = tracked_box_rows, tracked_solve
         run()
     finally:
         for name, solve in originals.items():
             setattr(module, name, solve)
+        ald._box_rows, ald.SliceSolver.solve = box_rows, slice_solve
 
 
 def _sufficient(inst, spec):
@@ -214,14 +244,16 @@ def slice_pins() -> dict:
 
         numbers = itertools.count()
         for kind in SLICE_KINDS:
-            _record(pins, f"{label} {kind}", relax(1, kind), numbers=numbers)
+            _record(pins, f"{label} {kind}", relax(1, kind), numbers=numbers,
+                    slices_of=inst)
         for rho in (0, Fraction(1, 2)):
             _record(pins, f"{label} slinf:3/2 rho {rho}", relax(rho, "slinf:3/2"),
-                    both)
-        _record(pins, f"{label} solve_ip", lambda: ald.solve_ip(inst), both)
+                    both, slices_of=inst)
+        _record(pins, f"{label} solve_ip", lambda: ald.solve_ip(inst), both,
+                slices_of=inst)
         for spec in SUFFICIENT_KINDS:
             _record(pins, f"{label} sufficient {spec}",
-                    lambda: _sufficient(inst, spec), both)
+                    lambda: _sufficient(inst, spec), both, slices_of=inst)
     return pins
 
 
@@ -238,7 +270,8 @@ def lp_pins() -> dict:
     for shape, inst in zip(GRID_SHAPES, grid_corpus()):
         label = f"lp grid {shape}"
         _record(pins, f"{label} box", lambda: ald.integer_box(inst), by_lp)
-        _record(pins, f"{label} slices", lambda: ald._slices(inst), by_lp)
+        _record(pins, f"{label} slices", lambda: ald._slices(inst), by_lp,
+                slices_of=inst)
         _record(pins, f"{label} boundedness", lambda: check_boundedness(inst), by_lp,
                 module=convexsolve)
         _record(pins, f"lp phase1 {shape}",
@@ -250,7 +283,7 @@ def lp_pins() -> dict:
     for name, inst in named:
         ald.integer_box(inst)  # first, so that only the probes are recorded
         _record(pins, f"lp dual-linf {name}", lambda: exactrho.rho_dual_linf(inst),
-                by_lp)
+                by_lp, slices_of=inst)
     for seed in range(PHASE1_COUNT):
         _record(pins, f"lp phase1 random {seed}",
                 lambda: solve_qp(random_qp(seed)[0]), by_lp, module=convexsolve)

@@ -7,7 +7,14 @@ moves each right-hand side to ``base - X2 x2``, the x1 linear term to
 c1 + Q12 x2 and the constant to const + c2.x2 + 1/2 x2^T Q22 x2; sql2 is
 absorbed into the full-width objective (Q + 2 rho A^T A, c - 2 rho A^T b,
 const + rho b.b).  The slicer now builds each program from a table row's
-r2, s2, f2 and g1 instead; the two must agree term for term.
+r2, s2, f2 and g1 instead, over the rows of E with a nonzero E1 only; with
+its x2-only rows put back (``full_rows``) it must agree with the
+substitution term for term.
+
+The reports of the lean programs equal those of the full-row programs,
+with a zero multiplier put back on each x2-only row: every slice program
+each slicer solves is solved again with every row, from the same start
+and through the same mapping.
 """
 
 from fractions import Fraction
@@ -16,12 +23,13 @@ import pytest
 
 from aldual import ald
 from aldual.ald import integer_box, lambda_bar
-from aldual.convexsolve import LinearProgram, QuadraticProgram
+from aldual.convexsolve import LinearProgram, QuadraticProgram, solve_lp, solve_qp
 from aldual.numkit import RatMat, RatVec
 from aldual.penalty import SQL2, epigraph_rows, evaluate, parse_penalty
 
 from conftest import d1_instance
-from corpus import GRID_SHAPES, grid_corpus
+from corpus import GRID_SHAPES, grid_corpus, pure_integer_corpus
+from full_rows import full_program, full_report, x2_only_rows
 
 _ZERO = Fraction(0)
 KINDS = ("linf", "l1", "slinf:3/2", "sql2")
@@ -138,7 +146,8 @@ def test_slice_programs_equal_the_substitution(idx):
     for slicer, ref in _slicer_pairs(inst):
         for row in rows:
             x2v = RatVec(row.x2)
-            assert slicer.program(row) == ref.program(x2v), row.x2
+            program = full_program(inst, slicer.program(row), row.s2)
+            assert program == ref.program(x2v), row.x2
             assert slicer.constant(row) == ref.constant(x2v), row.x2
         for row in table:
             assert slicer.minimum(row) == (None, ref.point_value(RatVec(row.x2)))
@@ -152,3 +161,45 @@ def test_cases_cover_both_slice_kinds():
     assert any(not inst.split_cols(inst.A)[0].is_zero() for inst in mixed)
     quad = [slicer.quad_free for inst in mixed for slicer, _ in _slicer_pairs(inst)]
     assert True in quad and False in quad
+
+
+def _equivalence_cases():
+    """d1, the grid corpus and the pure-integer corpus's instances not in it."""
+    cases = [d1_instance()] + grid_corpus()
+    return cases + [inst for inst, _ in pure_integer_corpus() if inst not in cases]
+
+
+@pytest.mark.parametrize("idx", range(len(_equivalence_cases())))
+def test_lean_reports_equal_the_full_row_reports(idx, monkeypatch):
+    inst = _equivalence_cases()[idx]
+    calls = []
+
+    def recording(solve):
+        def record(program, *args, **kwargs):
+            calls.append((program, args, kwargs))
+            return solve(program, *args, **kwargs)
+        return record
+
+    monkeypatch.setattr(ald, "solve_lp", recording(solve_lp))
+    monkeypatch.setattr(ald, "solve_qp", recording(solve_qp))
+    solved = 0
+    for slicer, _ in _slicer_pairs(inst):
+        for row in slicer.rows():
+            calls.clear()
+            rep, _ = slicer.solve(row)
+            [(program, args, kwargs)] = calls
+            full = full_program(inst, program, row.s2)
+            solve = solve_lp if isinstance(program, LinearProgram) else solve_qp
+            assert solve(full, *args, **kwargs) == full_report(inst, rep), row.x2
+            solved += 1
+    assert solved and x2_only_rows(inst)
+
+
+def test_equivalence_cases_cover_both_program_kinds():
+    # LPs and QPs, warm and cold, with and without kept rows of E
+    kinds = set()
+    for inst in _equivalence_cases():
+        for slicer, _ in _slicer_pairs(inst):
+            kinds.add((slicer.quad_free, slicer.include_eq, bool(slicer.kept)))
+    assert {(True, False, True), (False, False, True), (False, True, True),
+            (True, False, False), (False, False, False)} <= kinds
