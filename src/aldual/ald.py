@@ -15,17 +15,18 @@ subproblem is the point, evaluated with no solver; else the slice's point
 comes from one LP over those rows.  Each row also carries the slice's
 x2-only terms, evaluated on Python ints by ``numkit``'s integer point
 kernels, from which every slice program of every relaxation (lam, pen,
-rho) is assembled.  A ``SliceSolver`` at one (lam, pen, rho) is the one
-walk over the slices: ``rows`` lists them, ``minimum`` evaluates one, and
+rho) is assembled; pen None is ``solve_ip``'s, with the rows A x = b kept
+as equalities.  A ``SliceSolver`` at one (lam, pen, rho) is the one walk
+over the slices: ``rows`` lists them, ``minimum`` evaluates one, and
 ``argmin`` finds the first of least minimum, from which ``solve_ip`` and
 ``SliceFamily.relax`` (``eval_lr_plus``) build their reports;
-``exactrho``'s certificate routes walk ``rows`` slice by slice.  Every
-route gets its slicers from one ``SliceFamily`` per call, which checks
-the arguments once, builds each weight's slicer once and holds the call's
-KKT factors and the KKT check's int forms, one of each per constraint
-system, shared by every slice LP and QP of every weight and dropped with
-the call.  An empty slice takes no solve, and QP slices start at the
-table's point.
+``exactrho``'s certificate routes walk ``rows`` or ``candidates`` slice by
+slice.  Every route gets its slicers from one ``SliceFamily`` per call,
+which checks the arguments once, builds each weight's slicer once and
+holds the call's KKT factors and the KKT check's int forms, one of each
+per constraint system, shared by every slice LP and QP of every weight
+and dropped with the call.  An empty slice takes no solve, and QP
+slices start at the table's point.
 
 On a pure-integer instance a point's value f2 + lam.r2 + rho psi(r2)
 depends on the point only through f2 and its residual r2, so points of
@@ -253,18 +254,20 @@ def _point_classes(inst: MiqpInstance) -> tuple[SliceRow, ...]:
 
 
 @_per_instance
-def _x1_block(inst: MiqpInstance, pen: pen_mod.Penalty | None, s: int,
+def _x1_block(inst: MiqpInstance, pen: pen_mod.Penalty | None,
               include_eq: bool) -> tuple:
-    """A slicer's continuous block (A1, quadratic s Q11, inequality rows,
+    """A slicer's continuous block (A1, quadratic Q11, inequality rows,
     equality rows, the equalities' right-hand side, the kept rows of E),
     which depends on neither lam nor the weight, so an instance keeps one
-    per penalty shape; ``pen`` is its norm penalty or None.  The
-    inequality rows start with [E1 | 0] over the kept rows, the indices
-    of the rows of E with a nonzero E1 (``_row_split``), in order."""
+    per penalty shape: ``pen``, the slicer's norm penalty or None, and
+    ``include_eq``, set for ``solve_ip``'s slicer alone, which adds
+    [A1 | 0] as equality rows.  The inequality rows start with [E1 | 0]
+    over the kept rows, the indices of the rows of E with a nonzero E1
+    (``_row_split``), in order."""
     n1 = inst.n1
     kept = _row_split(inst)[0]
     A1, E1 = inst.A.col_block(0, n1), inst.E.submatrix(kept, range(n1))
-    quad = inst.Q.submatrix(range(n1), range(n1)).scale(s)
+    quad = inst.Q.submatrix(range(n1), range(n1))
     n_aux, eq_tail = 0, ()
     if pen is not None:
         enc = pen_mod.epigraph_rows(pen, A1, RatVec.zeros(inst.m))
@@ -284,7 +287,8 @@ def _x1_block(inst: MiqpInstance, pen: pen_mod.Penalty | None, s: int,
 
 
 class SliceFamily:
-    """The slicers of one call chain at (inst, lam, pen), one per weight.
+    """The slicers of one call chain at (inst, lam, pen), one per weight;
+    pen None is ``solve_ip``'s family, whose slices keep A x = b.
 
     A family is built once per API call (one relaxation, sweep, bisection,
     max-norm dual construction, ``solve_ip`` or ``rho_sufficient``) and
@@ -299,18 +303,14 @@ class SliceFamily:
     mapping is keyed by the exact matrices, so sharing it changes no
     result; it is never kept across calls, so a repeated call repeats its
     work.
-    ``objective`` and ``include_eq`` are ``SliceSolver``'s s and equality
-    rows.
     """
 
-    def __init__(self, inst: MiqpInstance, lam: RatVec, pen: pen_mod.Penalty | None,
-                 objective: bool = True, include_eq: bool = False):
+    def __init__(self, inst: MiqpInstance, lam: RatVec, pen: pen_mod.Penalty | None):
         if len(lam) != inst.m:
             raise DimMismatchError(f"multiplier dim {len(lam)} vs {inst.m} rows")
         if pen is not None and pen.dim != inst.m:
             raise DimMismatchError(f"penalty dim {pen.dim} vs {inst.m} rows")
         self.inst, self.lam, self.pen = inst, lam, pen
-        self.s, self.include_eq = (1 if objective else 0), include_eq
         self.factors: dict = {}
         self._slicers: dict[Fraction, SliceSolver] = {}
 
@@ -340,28 +340,28 @@ class SliceFamily:
 
 
 class SliceSolver:
-    """The slices of  min s f(x) + lam.(b - Ax) + rho psi(b - Ax)  over
+    """The slices of  min f(x) + lam.(b - Ax) + rho psi(b - Ax)  over
     E x <= f, x2 fixed, at one weight of a ``SliceFamily`` (built by its
-    ``at``, which checks the arguments): s = 1, or 0 with the family's
-    ``objective=False``; ``pen`` None (solve_ip) has no penalty.
+    ``at``, which checks the arguments).  The family's ``pen`` None is
+    ``solve_ip``'s: no penalty, and ``include_eq``, the rows A x = b.
 
     A slice's program over (x1, aux) is built from its SliceRow and the
     continuous block, which one instance builds once (``_x1_block``).
-    With q = rho for sql2 (0 otherwise) the constant is s f2 + lam.r2
-    + q |r2|^2, the quadratic s Q11 + 2q A1^T A1 (the block's s Q11, plus
-    the weight's term added here) and the x1 linear term
-    s g1 - A1^T lam - 2q A1^T r2, whose lam part A1^T lam is priced once
+    With q = rho for sql2 (0 otherwise) the constant is f2 + lam.r2
+    + q |r2|^2, the quadratic Q11 + 2q A1^T A1 (the block's Q11, plus the
+    weight's term added here) and the x1 linear term
+    g1 - A1^T lam - 2q A1^T r2, whose lam part A1^T lam is priced once
     per slicer.  The inequalities are [E1 | 0] <= s2 over the rows of E
     with a nonzero E1 only (the block's kept rows: an x2-only row was
     checked once per box point, see ``_slices``), then for a norm penalty
     ``epigraph_rows(pen, A1, .)`` with ``epigraph_rhs(pen, r2)``, on
-    auxiliary columns whose last, w, costs rho; ``include_eq`` (solve_ip)
-    adds [A1 | 0] = r2.  rho = 0, or no dualized rows, drops the penalty.
+    auxiliary columns whose last, w, costs rho; ``include_eq`` adds
+    [A1 | 0] = r2.  rho = 0, or no dualized rows, drops the penalty.
     Every slice LP and QP is solved with the family's mapping.  A point
-    slice (n1 = 0) is s f2 + lam.r2 + rho psi(r2), in closed form.  The
+    slice (n1 = 0) is f2 + lam.r2 + rho psi(r2), in closed form.  The
     walk is ``rows``, ``minimum`` of each and ``argmin`` over
-    ``candidates``: ``rows``, or with s = 1 on a pure-integer instance one
-    row per residual class.
+    ``candidates``: ``rows``, or on a pure-integer instance one row per
+    residual class.
     Within a class the values differ only by f2, at every (lam, rho), so
     the first row of least value over ``rows`` is its class's first row of
     least f2, a candidate, and no earlier candidate reaches its value; and
@@ -374,12 +374,12 @@ class SliceSolver:
         if rho == 0 or inst.m == 0:
             pen = None  # psi of an empty residual is 0
         self.inst, self.lam, self.pen, self.rho = inst, family.lam, pen, rho
-        self.s, self.include_eq = family.s, family.include_eq
+        self.include_eq = family.pen is None
         self.factors = family.factors
         self.epigraph = pen is not None and pen.is_norm
         self.q = rho if pen is not None and not self.epigraph else _ZERO
         (self.A1, self.Qsub, self.ineq_mat, self.eq_mat, self.eq_tail,
-         self.kept) = _x1_block(inst, pen if self.epigraph else None, self.s,
+         self.kept) = _x1_block(inst, pen if self.epigraph else None,
                                 self.include_eq)
         self.lam_term = self.A1.tmatvec(self.lam)
         if self.q:
@@ -389,14 +389,14 @@ class SliceSolver:
         self.aux_cost = [_ZERO] * (n_aux - 1) + [rho] if n_aux else []
 
     def constant(self, row: SliceRow) -> Fraction:
-        """The slice objective's x1-free part: s f2 + lam.r2 + q |r2|^2."""
-        value = self.lam.dot(row.r2) + (row.f2 if self.s else _ZERO)
+        """The slice objective's x1-free part: f2 + lam.r2 + q |r2|^2."""
+        value = row.f2 + self.lam.dot(row.r2)
         return value + self.q * row.r2.dot(row.r2) if self.q else value
 
     def program(self, row: SliceRow) -> LinearProgram | QuadraticProgram:
         """The row's slice program over (x1, aux), less ``constant``: a
         LinearProgram when the quadratic is zero."""
-        g = row.g1 - self.lam_term if self.s else -self.lam_term
+        g = row.g1 - self.lam_term
         if self.q:
             g = g - self.A1.tmatvec(row.r2).scale(2 * self.q)
         ineq_rhs = [row.s2[j] for j in self.kept]
@@ -428,10 +428,11 @@ class SliceSolver:
 
     def rows(self) -> Iterable[SliceRow]:
         """The slices a walk visits, in lexicographic order: the instance's
-        ``_slices`` table, except for ``include_eq``, which keeps a
-        pure-integer table's rows with r2 = 0 and walks a mixed instance's
-        raw box (the table lacks the A rows), x1 None, so solved cold; a
-        box point whose x2-only rows fail is skipped there with no solve."""
+        ``_slices`` table, except for solve_ip's (``include_eq``), which
+        keeps a pure-integer table's rows with r2 = 0 and walks a mixed
+        instance's raw box (the table lacks the A rows), x1 None, so solved
+        cold; a box point whose x2-only rows fail is skipped there with no
+        solve."""
         inst = self.inst
         if not self.include_eq:
             return _slices(inst)
@@ -441,11 +442,11 @@ class SliceSolver:
 
     def candidates(self) -> Iterable[SliceRow]:
         """The rows a least minimum is sought over, in ``rows()`` order:
-        ``rows()`` itself, except with the objective (s = 1) on a
-        pure-integer instance, where it is the rows of ``_point_classes``
-        among them, one per residual class."""
+        ``rows()`` itself, except on a pure-integer instance, where it is
+        the rows of ``_point_classes`` among them, one per residual
+        class."""
         inst = self.inst
-        if inst.n1 or not self.s:
+        if inst.n1:
             return self.rows()
         if self.include_eq:
             return [row for row in _point_classes(inst) if row.r2.is_zero()]
@@ -493,7 +494,7 @@ def solve_ip(inst: MiqpInstance) -> SolveReport:
     Ties between integer assignments are broken toward the
     lexicographically smallest one.
     """
-    slicer = SliceFamily(inst, RatVec.zeros(inst.m), None, include_eq=True).at(_ZERO)
+    slicer = SliceFamily(inst, RatVec.zeros(inst.m), None).at(_ZERO)
     best = slicer.argmin()
     if best is None:
         return SolveReport(status=INFEASIBLE)

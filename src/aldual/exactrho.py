@@ -19,9 +19,10 @@ the slice table: one solve per slice that already passes at the running
 index, and a bisection of that one slice only where it raises the index.
 
 Each route gets its slicers from one ``ald.SliceFamily`` per call: the
-margin formula's at weight 1, and the max-norm construction's and the
-oracle's at every weight they try, so the slice QPs of all those weights
-share one mapping of KKT factors.  Verification shares nothing with the
+max-norm construction's and the oracle's at every weight they try, so the
+slice QPs of all those weights share one mapping of KKT factors.  The
+margin formula solves no slice program: it reads each slice's least
+penalty off the slice table.  Verification shares nothing with the
 construction it checks: ``certify`` evaluates through ``eval_lr_plus``,
 which builds a family of its own.
 """
@@ -158,29 +159,26 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty) -> RhoCertificate:
     delta is the exact minimum of the penalty over integer assignments
     whose continuous slice cannot reach a zero residual; if some slice
     touches zero residual while the continuous variables act on the
-    dualized rows, the infimum over violating points is zero and
-    DeltaZeroError is raised (the formula is inapplicable).
+    dualized rows (A1 != 0), the infimum over violating points is zero and
+    DeltaZeroError is raised (the formula is inapplicable).  No slice
+    program is solved for either:
+
+    * the integer optimum x* has A x* = b, so its own slice reaches a zero
+      residual: the formula is inapplicable exactly when A1 != 0;
+    * when A1 = 0 a slice's residual is r2 whatever x1 is, so its least
+      penalty is psi(r2), read off the slice table.
     """
     ip = ground_truth(inst)
     duals = lambda_bar(inst)
-    A1, _ = inst.split_cols(inst.A)
-    continuous_acts = not A1.is_zero()
-
-    # per-assignment exact minimum of psi(b - Ax) over the continuous slice
-    slicer = SliceFamily(inst, RatVec.zeros(inst.m), pen, objective=False).at(_ONE)
-    candidates: list[Fraction] = []
-    for row in slicer.rows():
-        vmin = slicer.minimum(row)[1]
-        if vmin is None:
-            raise InternalInvariantError("penalty minimization unbounded")
-        if vmin > 0:
-            candidates.append(vmin)
-        elif continuous_acts:
-            raise DeltaZeroError(
-                f"assignment {row.x2} attains zero residual with continuous "
-                "variables acting on the dualized rows"
-            )
-    delta = min(candidates) if candidates else _ONE
+    family = SliceFamily(inst, duals.lambda_bar, pen)
+    if not inst.split_cols(inst.A)[0].is_zero():
+        x2 = tuple(int(v) for v in ip.x[inst.n1:])
+        raise DeltaZeroError(
+            f"assignment {x2} attains zero residual with continuous "
+            "variables acting on the dualized rows"
+        )
+    least = (pen_mod.evaluate(pen, row.r2) for row in family.at(_ONE).candidates())
+    delta = min((v for v in least if v > 0), default=_ONE)
     rho_star = (inst.objective_value(ip.x) - duals.z_nlp) / delta
     evidence = SufficientEvidence(ip.x, delta, duals.z_nlp)
     return _issue(inst, duals.lambda_bar, rho_star, pen, SUFFICIENT, evidence)

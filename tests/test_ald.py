@@ -449,8 +449,7 @@ def _point_cases():
 def test_point_slices_equal_lp_route(idx):
     inst = _point_cases()[idx]
     assert inst.n1 == 0
-    slicers = [ald.SliceFamily(inst, RatVec.zeros(inst.m), None,
-                               include_eq=True).at(0)]
+    slicers = [ald.SliceFamily(inst, RatVec.zeros(inst.m), None).at(0)]
     for lam in (lambda_bar(inst).lambda_bar, RatVec.zeros(inst.m)):
         slicers += _relax_slicers(inst, lam)
     for slicer in slicers:
@@ -560,7 +559,7 @@ def test_block_memo_keeps_one_block_per_penalty_shape():
     pen = Penalty(SQL2, inst.m)
     rhos = [Fraction(k, 4) for k in range(40)]
     rows = gap_sweep(inst, pen, rhos)
-    assert sorted(vars(inst)["__x1_block"]) == [(None, 1, False), (None, 1, True)]
+    assert sorted(vars(inst)["__x1_block"]) == [(None, False), (None, True)]
     lam = lambda_bar(inst).lambda_bar
     for row in rows[::13]:
         fresh = eval_lr_plus(_coupled_instance(), lam, row.rho, pen)
@@ -822,7 +821,7 @@ def test_solve_ip_takes_the_first_tied_slice(q11, c):
     # x1 = y on the raw box: y = -1 and y = 2 leave 0 <= x1 <= 1 (skipped),
     # and y = 0, y = 1 tie at 0
     inst = _tied_instance(q11, c, [1, -1])
-    slicer = ald.SliceFamily(inst, RatVec([0]), None, include_eq=True).at(0)
+    slicer = ald.SliceFamily(inst, RatVec([0]), None).at(0)
     assert slicer.quad_free == (q11 == 0)
     assert [inst.objective_value(RatVec([y, y])) for y in (0, 1)] == [0, 0]
     rep = solve_ip(inst)

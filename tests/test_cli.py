@@ -27,6 +27,7 @@ from aldual.numkit import RatVec, parse_rat
 from aldual.penalty import parse_penalty
 
 from conftest import d1_instance
+from test_ald import _coupled_instance
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -172,6 +173,23 @@ def test_rho_sufficient_no_dualized_rows(spec, tmp_path, capsys):
     inst = read_instance(path)
     assert certify(inst, RatVec(parse_rat(v) for v in doc["lambda_used"]),
                    parse_rat(doc["rho_star"]), parse_penalty(spec, inst.m))
+
+
+def test_rho_sufficient_refuses_when_continuous_variables_act(tmp_path, capsys):
+    # A1 != 0: the integer optimum's slice reaches zero residual, so delta
+    # is 0 and the margin formula does not apply; the refusal names the
+    # optimum's assignment
+    inst = _coupled_instance()
+    path = tmp_path / "coupled.json"
+    write_instance(inst, path)
+    assert main(["rho", "--instance", str(path), "--penalty", "linf",
+                 "--method", "sufficient"]) == 2
+    captured = capsys.readouterr()
+    x2 = tuple(int(v) for v in ald.ground_truth(inst).x[inst.n1:])
+    assert captured.out == ""
+    assert captured.err == (
+        f"assumption violation: assignment {x2} attains zero residual with "
+        "continuous variables acting on the dualized rows\n")
 
 
 def test_rho_verify_dominance(d1_path, capsys):

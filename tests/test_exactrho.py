@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -13,7 +15,13 @@ from aldual.ald import (
     lambda_bar,
     solve_ip,
 )
-from aldual.errors import DeltaZeroError, DimMismatchError, UnsupportedKindError
+from aldual.convexsolve import OPTIMAL, LinearProgram, solve_lp, solve_qp
+from aldual.errors import (
+    AldualError,
+    DeltaZeroError,
+    DimMismatchError,
+    UnsupportedKindError,
+)
 from aldual.exactrho import (
     DUAL_LINF,
     EMPIRICAL,
@@ -22,6 +30,8 @@ from aldual.exactrho import (
     NORM_CONVERT,
     SUFFICIENT,
     EmpiricalBound,
+    RhoCertificate,
+    SufficientEvidence,
     certificate_empirical,
     certificate_for_lambda,
     certificate_for_norm,
@@ -39,6 +49,7 @@ from aldual.penalty import L1, LINF, Penalty, SCALED_LINF, SQL2, parse_penalty
 from conftest import d1_instance
 from corpus import grid_corpus
 from test_ald import _coupled_instance, _coupled_lp_instance, factor_counts, grid_25
+from test_slice_programs import _equivalence_cases, _reference
 
 WIDTH = Fraction(1, 1024)
 _ZERO = Fraction(0)
@@ -98,6 +109,102 @@ def test_sufficient_no_dualized_rows(pen):
     assert cert.rho_star == 0
     assert cert.evidence.delta == 1
     assert certify(inst, cert.lambda_used, cert.rho_star, pen)
+
+
+def _zero_a1(inst):
+    """inst with A's continuous columns zeroed (A1 = 0)."""
+    A = [[0] * inst.n1 + row[inst.n1:] for row in inst.A.row_list()]
+    return dataclasses.replace(inst, A=RatMat(A, cols=inst.n))
+
+
+def _sufficient_cases():
+    """The slice-program equivalence cases (d1, the grid and pure-integer
+    corpora, the coupled all-LP instance), the coupled instance, and a copy
+    with A1 = 0 of each mixed one among them."""
+    cases = _equivalence_cases() + [_coupled_instance()]
+    return cases + [_zero_a1(inst) for inst in cases if inst.n1]
+
+
+def _least_penalty(ref, inst, row):
+    """A table slice's least penalty: its substitution program at zero
+    objective and weight 1, solved (a point slice's in closed form)."""
+    x2v = RatVec(row.x2)
+    if inst.n1 == 0:
+        return ref.point_value(x2v)
+    program = ref.program(x2v)
+    rep = (solve_lp if isinstance(program, LinearProgram) else solve_qp)(program)
+    assert rep.status == OPTIMAL, row.x2
+    return rep.value + ref.constant(x2v)
+
+
+def _sufficient_by_slice_programs(inst, pen):
+    """The margin-formula certificate by one least-penalty solve per table
+    slice: DeltaZeroError where a slice reaches zero residual and A1 != 0,
+    else delta, the least positive slice minimum (1 if none)."""
+    ip = ground_truth(inst)
+    duals = lambda_bar(inst)
+    n = inst.n
+    ref = _reference(inst, RatMat.zeros(n, n), RatVec.zeros(n), _ZERO, pen,
+                     Fraction(1))
+    continuous_acts = not inst.split_cols(inst.A)[0].is_zero()
+    least = [_least_penalty(ref, inst, row) for row in ald._slices(inst)]
+    if continuous_acts and _ZERO in least:
+        raise DeltaZeroError("zero residual")
+    delta = min((v for v in least if v > 0), default=Fraction(1))
+    rho = (inst.objective_value(ip.x) - duals.z_nlp) / delta
+    assert certify(inst, duals.lambda_bar, rho, pen)
+    return RhoCertificate(rho, SUFFICIENT, duals.lambda_bar,
+                          SufficientEvidence(ip.x, delta, duals.z_nlp))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AldualError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("idx", range(len(_sufficient_cases())))
+def test_sufficient_equals_the_slice_program_route(idx):
+    # delta read off the slice table equals the least positive minimum of
+    # the solved least-penalty programs, and the refusal comes exactly
+    # where one reaches zero while A1 != 0
+    inst = _sufficient_cases()[idx]
+    for spec in ("linf", "l1", "slinf:3/2", "sql2"):
+        pen = parse_penalty(spec, inst.m)
+        assert _outcome(rho_sufficient, inst, pen) == \
+            _outcome(_sufficient_by_slice_programs, inst, pen), spec
+
+
+def test_sufficient_cases_cover_both_outcomes():
+    outcomes = {_outcome(rho_sufficient, inst, Penalty(LINF, inst.m))
+                for inst in _sufficient_cases()}
+    assert DeltaZeroError in outcomes
+    assert any(isinstance(o, RhoCertificate) and o.evidence.delta != 1
+               for o in outcomes)
+    mixed = [inst for inst in _sufficient_cases()
+             if inst.n1 and inst.split_cols(inst.A)[0].is_zero()]
+    assert any(isinstance(_outcome(rho_sufficient, inst, Penalty(LINF, inst.m)),
+                          RhoCertificate) for inst in mixed)
+
+
+@pytest.mark.parametrize("make, zero_a1", [
+    (d1_instance, False), (_coupled_instance, False),
+    (_coupled_lp_instance, False), (_coupled_instance, True)])
+def test_sufficient_solves_no_slice_program(make, zero_a1, solver_calls,
+                                            monkeypatch):
+    # past the ground truth, lambda_bar and the slice table, the margin
+    # formula makes no LP or QP: it refuses when A1 != 0 and reads psi(r2)
+    # off the table when A1 = 0 (certify is stubbed: the primal
+    # verification of a mixed instance solves the relaxation's slices)
+    inst = _zero_a1(make()) if zero_a1 else make()
+    ground_truth(inst), lambda_bar(inst), ald._slices(inst)
+    monkeypatch.setattr(exactrho, "certify", lambda *args: True)
+    solver_calls.update(lp=0, qp=0)
+    acts = not inst.split_cols(inst.A)[0].is_zero()
+    with pytest.raises(DeltaZeroError) if acts else contextlib.nullcontext():
+        rho_sufficient(inst, Penalty(LINF, inst.m))
+    assert solver_calls == {"lp": 0, "qp": 0}
 
 
 # -------------------------------------------------------------- dual linf
@@ -477,7 +584,5 @@ def test_certificates_serialize(d1):
 
 
 def test_certificate_bit_size():
-    from aldual.exactrho import RhoCertificate
-
     cert = RhoCertificate(Fraction(5, 2), SUFFICIENT, RatVec([]), None)
     assert cert.bit_size() == 3 + 2  # |5| and 2

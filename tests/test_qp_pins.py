@@ -11,9 +11,8 @@ with the one recorded in ``tests/qp_pins.json``:
   of degenerate slices are otherwise unpinned (the goldens see only
   pure-integer slices): the QPs ``eval_lr_plus`` solves at ``lambda_bar``
   with rho = 1 for linf, l1 and sql2, and with slinf:3/2 at rho 0 and
-  1/2; ``solve_ip``'s; and ``rho_sufficient``'s for the four kinds, LPs
-  included.  A QP started warm is pinned by its cold report, and the
-  warm one must have its status, value and x;
+  1/2; and ``solve_ip``'s, LPs included.  A QP started warm is pinned by
+  its cold report, and the warm one must have its status, value and x;
 * LPs (group ``lp``): seeded random LPs, some with a duplicated equality
   row, negative or zero right-hand sides, some infeasible and some
   unbounded; the ``integer_box``, slice-table and ``check_boundedness``
@@ -57,7 +56,6 @@ from aldual.convexsolve import (
     solve_lp,
     solve_qp,
 )
-from aldual.errors import DeltaZeroError
 from aldual.instance import GenConfig, generate
 from aldual.numkit import RatMat, RatVec, solve_linear, to_wire
 from aldual.penalty import parse_penalty
@@ -75,7 +73,6 @@ PHASE1_COUNT = 100
 # grid shapes whose slice QPs are pinned: m = 2 with an E2 row
 SLICE_SHAPES = [(2, 2, 2, 1, 2, 1100), (3, 1, 2, 1, 2, 1900)]
 SLICE_KINDS = ("linf", "l1", "sql2")
-SUFFICIENT_KINDS = ("linf", "l1", "slinf:3/2", "sql2")
 
 
 def _rand_rat(rng, mag):
@@ -219,17 +216,10 @@ def _record(pins: dict, label: str, run, solvers=("solve_qp",),
         ald._box_rows, ald.SliceSolver.solve = box_rows, slice_solve
 
 
-def _sufficient(inst, spec):
-    try:
-        exactrho.rho_sufficient(inst, parse_penalty(spec, inst.m))
-    except DeltaZeroError:
-        pass
-
-
 def slice_pins() -> dict:
     """Slice programs of each SLICE_SHAPES instance, in solve order: the
     relaxation's at lambda_bar (rho = 1 per kind, its table built on the
-    way, then slinf:3/2 at rho 0 and 1/2), solve_ip's and rho_sufficient's.
+    way, then slinf:3/2 at rho 0 and 1/2) and solve_ip's.
     The pins at rho = 1 are numbered across the kinds of one shape."""
     pins = {}
     for shape in SLICE_SHAPES:
@@ -251,9 +241,6 @@ def slice_pins() -> dict:
                     both, slices_of=inst)
         _record(pins, f"{label} solve_ip", lambda: ald.solve_ip(inst), both,
                 slices_of=inst)
-        for spec in SUFFICIENT_KINDS:
-            _record(pins, f"{label} sufficient {spec}",
-                    lambda: _sufficient(inst, spec), both, slices_of=inst)
     return pins
 
 

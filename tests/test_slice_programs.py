@@ -30,6 +30,7 @@ from aldual.penalty import SQL2, epigraph_rows, evaluate, parse_penalty
 from conftest import d1_instance
 from corpus import GRID_SHAPES, grid_corpus, pure_integer_corpus
 from full_rows import full_program, full_report, x2_only_rows
+from test_ald import _coupled_lp_instance
 
 _ZERO = Fraction(0)
 KINDS = ("linf", "l1", "slinf:3/2", "sql2")
@@ -111,20 +112,18 @@ def _reference(inst, Q, c, const, pen, rho):
 
 
 def _slicer_pairs(inst):
-    """(slicer, reference) for solve_ip's slicer, rho_sufficient's per
-    kind, and the relaxation's per kind at rho 0 and 1/2, at lambda_bar
-    and at a second multiplier."""
-    n, m = inst.n, inst.m
+    """(slicer, reference) for solve_ip's slicer (pen None), and the
+    relaxation's per kind at zero multipliers and weight 1, and at rho 0
+    and 1/2 at lambda_bar and at a second multiplier."""
+    m = inst.m
     zero_lam = RatVec.zeros(m)
-    pairs = [(ald.SliceFamily(inst, zero_lam, None, include_eq=True).at(_ZERO),
+    pairs = [(ald.SliceFamily(inst, zero_lam, None).at(_ZERO),
               _Substitution(inst, inst.Q, inst.c, _ZERO, include_eq=True))]
     other = RatVec(Fraction((-1) ** i, i + 2) for i in range(m))
     for spec in KINDS:
         pen = parse_penalty(spec, m)
-        pairs.append((
-            ald.SliceFamily(inst, zero_lam, pen, objective=False).at(1),
-            _reference(inst, RatMat.zeros(n, n), RatVec.zeros(n), _ZERO, pen,
-                       Fraction(1))))
+        pairs.append((ald.SliceFamily(inst, zero_lam, pen).at(1),
+                      _reference(inst, inst.Q, inst.c, _ZERO, pen, Fraction(1))))
         for lam in (lambda_bar(inst).lambda_bar, lambda_bar(inst).lambda_bar + other):
             chat, const = inst.c - inst.A.tmatvec(lam), lam.dot(inst.b)
             for rho in (_ZERO, Fraction(1, 2)):
@@ -134,11 +133,13 @@ def _slicer_pairs(inst):
 
 
 def _cases():
+    """d1, the SHAPES grid instances and the coupled all-LP instance."""
     insts = dict(zip(GRID_SHAPES, grid_corpus()))
-    return [d1_instance()] + [insts[shape] for shape in SHAPES]
+    return [d1_instance()] + [insts[shape] for shape in SHAPES] + [
+        _coupled_lp_instance()]
 
 
-@pytest.mark.parametrize("idx", range(len(SHAPES) + 1))
+@pytest.mark.parametrize("idx", range(len(SHAPES) + 2))
 def test_slice_programs_equal_the_substitution(idx):
     inst = _cases()[idx]
     rows = list(ald._box_rows(inst, integer_box(inst).assignments()))
@@ -164,9 +165,11 @@ def test_cases_cover_both_slice_kinds():
 
 
 def _equivalence_cases():
-    """d1, the grid corpus and the pure-integer corpus's instances not in it."""
+    """d1, the grid corpus, the pure-integer corpus's instances not in it and
+    the coupled all-LP instance."""
     cases = [d1_instance()] + grid_corpus()
-    return cases + [inst for inst, _ in pure_integer_corpus() if inst not in cases]
+    cases += [inst for inst, _ in pure_integer_corpus() if inst not in cases]
+    return cases + [_coupled_lp_instance()]
 
 
 @pytest.mark.parametrize("idx", range(len(_equivalence_cases())))
