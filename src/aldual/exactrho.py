@@ -22,7 +22,11 @@ Each route gets its slicers from one ``ald.SliceFamily`` per call: the
 max-norm construction's and the oracle's at every weight they try, so the
 slice QPs of all those weights share one mapping of KKT factors.  The
 margin formula solves no slice program: it reads each slice's least
-penalty off the slice table.  Verification shares nothing with the
+penalty off the slice table.  Nor does the max-norm construction on a
+pure-integer instance: a point slice's subproblem is min rho w over
+w >= |r2_i|, and its dual record (all of rho on one tight epigraph row,
+chosen as the cold LP's vertex) is written down in closed form; only a
+mixed slice's probe solves its LP.  Verification shares nothing with the
 construction it checks: ``certify`` evaluates through ``eval_lr_plus``,
 which builds a family of its own.
 """
@@ -186,33 +190,54 @@ def rho_sufficient(inst: MiqpInstance, pen: pen_mod.Penalty) -> RhoCertificate:
 
 def _dual_probe(inst: MiqpInstance, blocks: tuple, slicer, row,
                 rho: Fraction) -> DualAssignmentRecord:
-    """Solve one table row's max-norm subproblem at weight rho, cold
-    (``slicer`` is the relaxation's slicer at (lam, rho)), and extract the
-    exact dual point.  The epigraph rows hold for a large enough w, so a
-    report other than OPTIMAL raises InternalInvariantError; the record's
-    dual objective equals the subproblem value by strong duality, checked
-    exactly along with the multiplier identities, from the instance's
-    ``blocks`` at lam (Q11, Q12, Q22, A1, A2, E1, E2, c1 - A1^T lam,
-    c2 - A2^T lam, lam.b), not from the row.  The subproblem holds only
-    the rows of E with a nonzero E1 (``slicer.kept``); ``y3`` has one
-    entry per row of E, 0 on each x2-only row, the multiplier that row
-    would take in the program with every row (it constrains no variable).
+    """One table row's max-norm subproblem at weight rho > 0 (``slicer`` is
+    the relaxation's slicer at (lam, rho)) and an exact dual point of it.
+    The record's dual objective equals the subproblem value by strong
+    duality, checked exactly along with the multiplier identities, from
+    the instance's ``blocks`` at lam (Q11, Q12, Q22, A1, A2, E1, E2,
+    c1 - A1^T lam, c2 - A2^T lam, lam.b), not from the row.
+
+    A mixed row's subproblem is solved cold.  The epigraph rows hold for
+    a large enough w, so a report other than OPTIMAL raises
+    InternalInvariantError.  It holds only the rows of E with a nonzero E1
+    (``slicer.kept``); ``y3`` has one entry per row of E, 0 on each x2-only
+    row, the multiplier that row would take in the program with every row
+    (it constrains no variable).
+
+    A point row (n1 = 0) is written down with no solve.  Its program is
+    min rho w s.t. w >= -r2_i (row 2i, multiplier y1_i) and w >= r2_i (row
+    2i + 1, y2_i), of value ``slicer.minimum(row)``, f2 + lam.r2
+    + rho ||r2||_inf; nu, y4 and y5 are empty and y3 is 0.  The record
+    puts all of rho on one row tight at w = ||r2||_inf: coordinate i, the
+    highest index attaining max |r2_i| (0 when r2 = 0), on y2_i when
+    r2_i > 0, else on y1_i.  Any tight row is a dual optimum; this one is
+    the vertex that ``solve_lp``'s Bland pivoting reaches on that program,
+    which the closed form's reference test in ``tests/test_exactrho.py``
+    pins against the cold LP on every probe of its corpus, ties included.
     """
-    rep, value = slicer.solve(row._replace(x1=None))
-    if rep.status != OPTIMAL:
-        raise InternalInvariantError(
-            f"slice {row.x2} subproblem {rep.status} at the optimal multipliers"
-        )
-    m, n1, kept = inst.m, inst.n1, slicer.kept
-    mu, k = rep.ineq_duals, len(kept)
+    m, n1 = inst.m, inst.n1
     y3 = [_ZERO] * inst.m2
-    for j, y in zip(kept, mu):
-        y3[j] = y
-    y3 = RatVec(y3)
-    y1 = RatVec(mu[k + 2 * i] for i in range(m))
-    y2 = RatVec(mu[k + 2 * i + 1] for i in range(m))
+    if n1 == 0:
+        value = slicer.minimum(row)[1]
+        r2 = row.r2
+        i = 0 if r2.is_zero() else max(range(m), key=lambda k: (abs(r2[k]), k))
+        y1, y2 = [_ZERO] * m, [_ZERO] * m
+        (y2 if r2[i] > 0 else y1)[i] = rho
+        nu = RatVec([])
+    else:
+        rep, value = slicer.solve(row._replace(x1=None))
+        if rep.status != OPTIMAL:
+            raise InternalInvariantError(
+                f"slice {row.x2} subproblem {rep.status} at the optimal multipliers"
+            )
+        mu, k = rep.ineq_duals, len(slicer.kept)
+        for j, y in zip(slicer.kept, mu):
+            y3[j] = y
+        y1 = [mu[k + 2 * i] for i in range(m)]
+        y2 = [mu[k + 2 * i + 1] for i in range(m)]
+        nu = -RatVec(rep.x[:n1])
+    y1, y2, y3 = RatVec(y1), RatVec(y2), RatVec(y3)
     zeros1 = RatVec.zeros(n1)
-    nu = -RatVec(rep.x[:n1])
     x2v = RatVec(row.x2)
     Q11, Q12, Q22, A1, A2, E1, E2, c1_lam, c2_lam, lam_b = blocks
 

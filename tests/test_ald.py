@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from aldual import ald, convexsolve
+from aldual import ald, convexsolve, exactrho
 from aldual.ald import (
     SWEEP_CSV_HEADER,
     dual_ascent,
@@ -36,7 +36,7 @@ from aldual.numkit import INCONSISTENT, RatMat, RatVec, parse_rat
 from aldual.penalty import L1, LINF, Penalty, SQL2, evaluate, parse_penalty
 
 from conftest import d1_instance
-from corpus import GRID_SHAPES, grid_corpus, pure_integer_corpus
+from corpus import GRID_SHAPES, PURE_INTEGER_SHAPES, grid_corpus, pure_integer_corpus
 from full_rows import full_program
 
 
@@ -703,28 +703,54 @@ def test_x2_only_rows_take_no_solve(q11, ip_calls, solver_calls):
     assert solver_calls == ip_calls
 
 
-def test_dual_linf_builds_one_kkt_form_per_system(d1, monkeypatch):
-    # every probe LP of rho_dual_linf on d1 shares one constraint system,
-    # and the call's mapping keeps its KKT check's int form: one form, not
-    # one per probe
+def test_dual_linf_builds_one_kkt_form_per_system(monkeypatch):
+    # every probe LP of rho_dual_linf shares one constraint system, and the
+    # call's mapping keeps its KKT check's int form: one form, not one per
+    # probe.  Only the probes' LPs are counted: the primal verification's
+    # eval_lr_plus builds a family, and a form, of its own
+    inst = _coupled_lp_instance()
     for fact in (integer_box, lambda_bar, solve_ip):
-        fact(d1)
-    forms, systems = [], set()
-    make_form, solve = convexsolve._KktForm, ald.solve_lp
+        fact(inst)
+    forms, systems, probing = [], set(), [False]
+    make_form, solve, probe = convexsolve._KktForm, ald.solve_lp, exactrho._dual_probe
 
     def counting(*key):
-        forms.append(key)
+        if probing[0]:
+            forms.append(key)
         return make_form(*key)
 
     def recording(lp, factors=None):
-        systems.add((lp.eq_lhs, lp.ineq_lhs))
+        if probing[0]:
+            systems.add((lp.eq_lhs, lp.ineq_lhs))
         return solve(lp, factors=factors)
+
+    def marked(*args):
+        probing[0] = True
+        try:
+            return probe(*args)
+        finally:
+            probing[0] = False
 
     monkeypatch.setattr(convexsolve, "_KktForm", counting)
     monkeypatch.setattr(ald, "solve_lp", recording)
-    cert = rho_dual_linf(d1)
-    assert len(cert.evidence.records) == 49
+    monkeypatch.setattr(exactrho, "_dual_probe", marked)
+    cert = rho_dual_linf(inst)
+    assert len(cert.evidence.records) == 6
     assert len(forms) == len(systems) == 1
+
+
+@pytest.mark.parametrize("idx", range(len(PURE_INTEGER_SHAPES) + 1))
+def test_dual_linf_on_points_makes_no_solver_calls(idx, solver_calls):
+    # once the per-instance facts are stored, a pure-integer instance's
+    # probes are written down in closed form and its primal verification
+    # walks point slices: no LP and no QP
+    inst = [d1_instance(), *(inst for inst, _ in pure_integer_corpus())][idx]
+    for fact in (integer_box, solve_ip, lambda_bar):
+        fact(inst)
+    solver_calls.update(lp=0, qp=0)
+    cert = rho_dual_linf(inst)
+    assert solver_calls == {"lp": 0, "qp": 0}
+    assert len(cert.evidence.records) == len(ald._slices(inst))
 
 
 @pytest.mark.parametrize("idx", range(len(GRID_SHAPES) + 1))

@@ -20,6 +20,7 @@ from aldual.errors import (
     AldualError,
     DeltaZeroError,
     DimMismatchError,
+    InternalInvariantError,
     UnsupportedKindError,
 )
 from aldual.exactrho import (
@@ -29,6 +30,7 @@ from aldual.exactrho import (
     LAMBDA_SHIFT,
     NORM_CONVERT,
     SUFFICIENT,
+    DualAssignmentRecord,
     EmpiricalBound,
     RhoCertificate,
     SufficientEvidence,
@@ -47,7 +49,7 @@ from aldual.numkit import RatMat, RatVec, rat
 from aldual.penalty import L1, LINF, Penalty, SCALED_LINF, SQL2, parse_penalty
 
 from conftest import d1_instance
-from corpus import grid_corpus
+from corpus import grid_corpus, pure_integer_corpus
 from test_ald import _coupled_instance, _coupled_lp_instance, factor_counts, grid_25
 from test_slice_programs import _equivalence_cases, _reference
 
@@ -307,6 +309,101 @@ def test_dual_linf_probe_sequence_pinned(seed, monkeypatch):
     assert [rec.rho_x2 for rec in cert.evidence.records] == finals
     assert [",".join(map(str, rec.assignment)) for rec in cert.evidence.records] \
         == list(starts)
+
+
+# ----------------------------------------- closed-form point records
+
+def reference_dual_probe(inst, blocks, slicer, row, rho) -> DualAssignmentRecord:
+    """``exactrho._dual_probe`` as it was before point rows were written in
+    closed form, every row solved as an LP.
+
+    Solve one table row's max-norm subproblem at weight rho, cold
+    (``slicer`` is the relaxation's slicer at (lam, rho)), and extract the
+    exact dual point.  The epigraph rows hold for a large enough w, so a
+    report other than OPTIMAL raises InternalInvariantError; the record's
+    dual objective equals the subproblem value by strong duality, checked
+    exactly along with the multiplier identities, from the instance's
+    ``blocks`` at lam (Q11, Q12, Q22, A1, A2, E1, E2, c1 - A1^T lam,
+    c2 - A2^T lam, lam.b), not from the row.  The subproblem holds only
+    the rows of E with a nonzero E1 (``slicer.kept``); ``y3`` has one
+    entry per row of E, 0 on each x2-only row, the multiplier that row
+    would take in the program with every row (it constrains no variable).
+    """
+    rep, value = slicer.solve(row._replace(x1=None))
+    if rep.status != OPTIMAL:
+        raise InternalInvariantError(
+            f"slice {row.x2} subproblem {rep.status} at the optimal multipliers"
+        )
+    m, n1, kept = inst.m, inst.n1, slicer.kept
+    mu, k = rep.ineq_duals, len(kept)
+    y3 = [_ZERO] * inst.m2
+    for j, y in zip(kept, mu):
+        y3[j] = y
+    y3 = RatVec(y3)
+    y1 = RatVec(mu[k + 2 * i] for i in range(m))
+    y2 = RatVec(mu[k + 2 * i + 1] for i in range(m))
+    zeros1 = RatVec.zeros(n1)
+    nu = -RatVec(rep.x[:n1])
+    x2v = RatVec(row.x2)
+    Q11, Q12, Q22, A1, A2, E1, E2, c1_lam, c2_lam, lam_b = blocks
+
+    if sum(y1, _ZERO) + sum(y2, _ZERO) != rho:
+        raise InternalInvariantError("residual-row multipliers do not sum to rho")
+    lhs = c1_lam + Q12.matvec(x2v) + A1.tmatvec(y1 - y2) + E1.tmatvec(y3)
+    if lhs != Q11.tmatvec(nu):
+        raise InternalInvariantError("dual stationarity row failed")
+    excess = A2.matvec(x2v) - inst.b
+    dual_value = (
+        -nu.dot(Q11.matvec(nu)) / 2
+        + excess.dot(y1)
+        - excess.dot(y2)
+        + (E2.matvec(x2v) - inst.f).dot(y3)
+        + lam_b
+        + c2_lam.dot(x2v)
+        + x2v.dot(Q22.matvec(x2v)) / 2
+    )
+    if dual_value != value:
+        raise InternalInvariantError("dual objective differs from primal value")
+    return DualAssignmentRecord(
+        assignment=tuple(row.x2), nu=nu, y1=y1, y2=y2, y3=y3,
+        y4=zeros1, y5=zeros1, rho_x2=rho, dual_value=dual_value,
+    )
+
+
+# Drawn pure-integer instances for the closed form's reference test: their
+# m = 2 and m = 3 rows give the ties in max |r2_i| that d1 (m = 1) lacks.
+_DRAWN_POINT_CONFIGS = [GenConfig(0, 2 + seed % 2, m, seed // 2 % 2, magnitude=2,
+                                  seed=seed)
+                        for m in (1, 2, 3) for seed in range(16)]
+
+
+def test_point_records_equal_the_lp_route(monkeypatch):
+    # every probe of a pure-integer instance, its record written down with
+    # no solve, is the record the cold LP gives, field for field; a tie in
+    # max |r2_i| is where a tie rule can be wrong
+    insts = [d1_instance(), *(inst for inst, _ in pure_integer_corpus()),
+             *(generate(GenConfig(0, 2, 1, 1, magnitude=2, seed=seed))
+               for seed in sorted(_DUAL_LINF_PINS)),
+             *(generate(config) for config in _DRAWN_POINT_CONFIGS)]
+    probe, counts = exactrho._dual_probe, {"probes": 0, "ties": 0}
+
+    def compared(inst, blocks, slicer, row, rho):
+        got = probe(inst, blocks, slicer, row, rho)
+        want = reference_dual_probe(inst, blocks, slicer, row, rho)
+        for field in dataclasses.fields(DualAssignmentRecord):
+            assert getattr(got, field.name) == getattr(want, field.name), \
+                (field.name, row.x2, rho)
+        top = max(abs(v) for v in row.r2)
+        counts["probes"] += 1
+        counts["ties"] += sum(abs(v) == top for v in row.r2) > 1
+        return got
+
+    monkeypatch.setattr(exactrho, "_dual_probe", compared)
+    for inst in insts:
+        assert inst.n1 == 0
+        rho_dual_linf(inst)
+    assert counts["probes"] >= 1500
+    assert counts["ties"] >= 500
 
 
 # ------------------------------------------------------------ conversions

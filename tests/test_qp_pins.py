@@ -16,9 +16,11 @@ with the one recorded in ``tests/qp_pins.json``:
 * LPs (group ``lp``): seeded random LPs, some with a duplicated equality
   row, negative or zero right-hand sides, some infeasible and some
   unbounded; the ``integer_box``, slice-table and ``check_boundedness``
-  LPs of every grid-corpus instance; the ``rho_dual_linf`` point-slice
-  probes on d1 and on the pure-integer corpus, whose degenerate duals the
-  goldens record; and the phase-1 LPs of cold ``solve_qp`` calls.
+  LPs of every grid-corpus instance; the max-norm subproblem of each
+  ``rho_dual_linf`` point-slice probe on d1 and on the pure-integer
+  corpus, whose degenerate duals the goldens record: ``_dual_probe``
+  writes its record down with no solve, so the pin solves the probe's
+  program itself; and the phase-1 LPs of cold ``solve_qp`` calls.
 
 Each pin also holds a digest of the program (under the key ``qp``, for
 LPs too), so a change in how a program is built shows as a changed digest
@@ -244,11 +246,32 @@ def slice_pins() -> dict:
     return pins
 
 
+def _dual_linf_probes(inst) -> list:
+    """The ``(slicer, row)`` of each ``exactrho._dual_probe`` call that
+    rho_dual_linf makes on inst, in call order; the slicer is the
+    relaxation's at the probe's weight."""
+    probes, probe = [], exactrho._dual_probe
+
+    def recording(inst, blocks, slicer, row, rho):
+        probes.append((slicer, row))
+        return probe(inst, blocks, slicer, row, rho)
+
+    exactrho._dual_probe = recording
+    try:
+        exactrho.rho_dual_linf(inst)
+    finally:
+        exactrho._dual_probe = probe
+    return probes
+
+
 def lp_pins() -> dict:
     """The random LPs; per grid instance its integer box's, slice table's
-    and check_boundedness' LPs; the LPs rho_dual_linf solves on d1 and the
-    pure-integer corpus; and the phase-1 LPs of the first PHASE1_COUNT
-    random QPs and of every grid relaxation, solved cold."""
+    and check_boundedness' LPs; the max-norm subproblem LP of each
+    rho_dual_linf probe on d1 and the pure-integer corpus, which
+    ``_dual_probe`` writes down in closed form and this solves cold (the
+    goldens record their degenerate duals); and the phase-1 LPs of the
+    first PHASE1_COUNT random QPs and of every grid relaxation, solved
+    cold."""
     pins = {}
     for seed in range(RANDOM_LP_COUNT):
         lp = random_lp(seed)
@@ -268,9 +291,10 @@ def lp_pins() -> dict:
         (str(shape), inst)
         for shape, (inst, _) in zip(PURE_INTEGER_SHAPES, pure_integer_corpus())]
     for name, inst in named:
-        ald.integer_box(inst)  # first, so that only the probes are recorded
-        _record(pins, f"lp dual-linf {name}", lambda: exactrho.rho_dual_linf(inst),
-                by_lp, slices_of=inst)
+        for i, (slicer, row) in enumerate(_dual_linf_probes(inst)):
+            program = slicer.program(row)
+            pins[f"lp dual-linf {name} #{i}"] = _pin(
+                full_program(inst, program, row.s2), full_report(inst, solve_lp(program)))
     for seed in range(PHASE1_COUNT):
         _record(pins, f"lp phase1 random {seed}",
                 lambda: solve_qp(random_qp(seed)[0]), by_lp, module=convexsolve)
